@@ -19,6 +19,7 @@ import statistics
 import subprocess
 import sys
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +31,11 @@ LAUNCHER = HERE / "launch.py"
 
 # At least ten samples lie beyond p90 when a run times at least 100 ops.
 MIN_OPS = 100
+# On a shared host one core can run a single thread 1.5-2x slower than
+# another for seconds to minutes.  A single-threaded loop moves to the next
+# usable core this often, between ops, so that every run samples all of its
+# cores instead of the one the scheduler happened to leave it on.
+ROTATE_S = 0.25
 CHILD_TIMEOUT_S = 170
 
 
@@ -56,11 +62,14 @@ class Workload:
     before_deck: object = None
     after_deck: object = None
     extra: dict = field(default_factory=dict)
+    # Single-threaded in-process loops rotate over the usable cores (ROTATE_S).
+    rotate_cores: bool = False
 
 
 @dataclass
 class Samples:
-    latencies: list = field(default_factory=list)
+    # Compact, so that what a run keeps per op hardly moves peak_rss_mb with the op count.
+    latencies: array = field(default_factory=lambda: array("d"))
     kinds: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     wall_s: float = 0.0
@@ -76,15 +85,28 @@ def cause(exc: BaseException) -> str:
 
 def run_loop(wl: Workload, seconds: float, min_ops: int, max_ops: int | None = None, tracer=None) -> Samples:
     """Run whole decks until ``seconds`` and ``min_ops`` are both reached, or ``max_ops`` ops."""
+    cores = sorted(os.sched_getaffinity(0))
+    try:
+        return _loop(wl, seconds, min_ops, max_ops, tracer, cores if wl.rotate_cores else [])
+    finally:
+        if wl.rotate_cores:
+            os.sched_setaffinity(0, cores)
+
+
+def _loop(wl: Workload, seconds: float, min_ops: int, max_ops: int | None, tracer, cores: list) -> Samples:
     s = Samples()
-    begin = time.perf_counter()
-    deck_no = 0
+    begin = moved = time.perf_counter()
+    deck_no = turn = 0
     while True:
         deck = wl.decks[deck_no % len(wl.decks)]
         deck_no += 1
         if wl.before_deck is not None:
             wl.before_deck()
         for op in deck:
+            if len(cores) > 1 and time.perf_counter() - moved >= ROTATE_S:
+                turn += 1
+                os.sched_setaffinity(0, {cores[turn % len(cores)]})
+                moved = time.perf_counter()
             if tracer is not None:
                 tracer.op = len(s.latencies)
                 tracer.enabled = True

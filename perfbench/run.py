@@ -90,13 +90,15 @@ def timed_run(module, args, import_s: float) -> tuple:
         samples = bench.run_loop(wl, 0.0, 0, max_ops=len(wl.decks[0]))
     else:
         samples = bench.run_loop(wl, args.seconds, bench.MIN_OPS)
+    # Read before the statistics, whose sorted copies grow with the op count.
+    peak_rss = peak_rss_mb(module.IN_PROCESS)
     summary = bench.summarize(samples)
     values = {
         "ops_per_s": summary["ops_per_s"],
         "latency_p50_ms": summary["latency_p50_ms"],
         "latency_p90_ms": summary["latency_p90_ms"],
         "setup_s": setup_s,
-        "peak_rss_mb": peak_rss_mb(module.IN_PROCESS),
+        "peak_rss_mb": peak_rss,
     }
     report.update(inputs_digest=digests[0], summary=summary, failures=failure_report(samples.failures))
     failed = len(samples.failures)

@@ -144,4 +144,5 @@ def build(seed: int, smoke: bool = False) -> Workload:
             cache[name][0] += info.hits - base[name].hits
             cache[name][1] += info.misses - base[name].misses
 
-    return Workload("terms_eval", [ops], digest(inputs), before_deck, after_deck, {"cache": cache})
+    return Workload("terms_eval", [ops], digest(inputs), before_deck, after_deck, {"cache": cache},
+                    rotate_cores=True)

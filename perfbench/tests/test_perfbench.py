@@ -5,6 +5,7 @@ Smoke runs go through the real entry point with one op of each kind.
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,17 @@ def test_an_op_that_raises_is_a_failure_with_its_cause():
     samples = bench.run_loop(wl, 0.0, 0, max_ops=1)
     assert samples.failures == [{"kind": "k", "input": "deep term",
                                  "cause": "RecursionError: maximum recursion depth exceeded"}]
+
+
+def test_core_rotation_visits_every_core_and_restores_the_affinity(monkeypatch):
+    monkeypatch.setattr(bench, "ROTATE_S", 0.0)
+    before = os.sched_getaffinity(0)
+    seen = []
+    op = bench.Op("k", "x", lambda: seen.append(os.sched_getaffinity(0)), (), lambda out: None)
+    bench.run_loop(bench.Workload("t", [[op] * 4], "d", rotate_cores=True), 0.0, 0, max_ops=4)
+    assert os.sched_getaffinity(0) == before
+    if len(before) > 1:
+        assert set().union(*seen) == before and all(len(cores) == 1 for cores in seen)
 
 
 def test_every_per_layer_metric_names_its_target():

@@ -6,6 +6,12 @@ reversible multiplier.  A share of ops also takes an inner product, a
 tensor product and a ``to_json``/``from_json`` round trip.  Supports are
 10^2 to 10^5 components; labels run from one digit to several hundred.
 Few kets are built per op, but each is wide, unlike terms_eval.
+
+Every op has an input ket of its own, and each ket draws its labels from
+a menu of sizes of its own, so the latencies within one support spread
+over about a factor of two instead of sitting on a few values.  A p50 or
+p90 inside such a spread moves smoothly with the host's speed; on a few
+distinct values it would jump between them.
 """
 
 from __future__ import annotations
@@ -28,33 +34,35 @@ INVERSE = GateProgram((GateStep(GateKind.MINUS, (1, 0)), GateStep(GateKind.MINUS
 # (a, b, 0) -> (a, b, ab)
 TIMES = GateProgram((GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2)),))
 QUBIT_AMPS = {(0,): 0.6, (1,): 0.8}
-# Label sizes in bits: one digit up to about 500 digits.
+# Label sizes in bits: one digit up to about 500 digits.  A ket's labels
+# draw from one menu, a prefix of LABEL_BITS; the shortest menu still has
+# enough distinct labels for 10^5 components.
 LABEL_BITS = (3, 7, 10, 20, 66, 200, 500, 1000, 1660)
+MENUS = tuple(LABEL_BITS[:n] for n in range(len(LABEL_BITS), 2, -1))
 TOL_NORM = 1e-12
-# Op kinds as (support, with inner/tensor/JSON extras): (ops per 100-op deck,
-# distinct input kets).  Latency grows with support, so p50 lies inside 10^3
-# plain (30-70%) and p90 inside 10^4 plain (75-99%).  One 10^5 op per deck
-# keeps a 100-op run affordable.
+# Ops per 100-op deck, by (support, with inner/tensor/JSON extras).  Latency
+# grows with support, so p50 lies inside 10^3 plain (30-70%) and p90 inside
+# 10^4 plain (75-99%).  One 10^5 op per deck keeps a 100-op run affordable.
 SHARES = {
-    (100, False): (20, 4),
-    (100, True): (10, 2),
-    (1000, False): (40, 8),
-    (1000, True): (5, 1),
-    (10000, False): (24, 4),
-    (100000, False): (1, 1),
+    (100, False): 20,
+    (100, True): 10,
+    (1000, False): 40,
+    (1000, True): 5,
+    (10000, False): 24,
+    (100000, False): 1,
 }
 
 
-def _label(rng: random.Random) -> int:
-    value = rng.getrandbits(rng.choice(LABEL_BITS))
+def _label(rng: random.Random, menu: tuple) -> int:
+    value = rng.getrandbits(rng.choice(menu))
     return -value if rng.random() < 0.5 else value
 
 
-def make_ket(rng: random.Random, support: int):
-    """A normalized ket and a digest of its generated components."""
+def make_ket(rng: random.Random, support: int, menu: tuple = LABEL_BITS):
+    """A normalized ket with labels of ``menu`` sizes and a digest of its generated components."""
     amps = {}
     while len(amps) < support:
-        amps[(_label(rng), _label(rng), 0)] = complex(rng.random() - 0.5, rng.random() - 0.5)
+        amps[(_label(rng, menu), _label(rng, menu), 0)] = complex(rng.random() - 0.5, rng.random() - 0.5)
     # Hashes of ints, floats and tuples do not depend on the process, unlike those of str.
     return states.Ket(3, amps).normalized(), f"{hash(tuple(amps.items())) & (2**64 - 1):016x}"
 
@@ -101,13 +109,17 @@ def check(ket, extras: bool):
 def build(seed: int, smoke: bool = False) -> Workload:
     rng = random.Random(f"wide_kets-{seed}")
     deck, inputs = [], []
-    for (support, extras), (ops, kets) in SHARES.items():
+    for (support, extras), ops in SHARES.items():
         kind = f"s{support}{'+extras' if extras else ''}"
         fn = program_extras if extras else program
-        for i in range(1 if smoke else kets):
-            ket, ket_digest = make_ket(rng, support)
-            inputs.append([kind, ket_digest])
-            op = Op(kind, f"support {support}, input {i}", fn, (ket,), check(ket, extras))
-            deck += [op] * (1 if smoke else len(range(i, ops, kets)))
+        n = 1 if smoke else ops
+        # The menus of a kind are spread evenly over MENUS, longest first, so
+        # every seed gives each kind the same mix of label sizes.
+        for i in range(n):
+            menu = MENUS[i * len(MENUS) // n]
+            ket, ket_digest = make_ket(rng, support, menu)
+            inputs.append([kind, len(menu), ket_digest])
+            deck.append(Op(kind, f"support {support}, labels up to {menu[-1]} bits, input {i}",
+                           fn, (ket,), check(ket, extras)))
     rng.shuffle(deck)
-    return Workload("wide_kets", [deck], digest(inputs))
+    return Workload("wide_kets", [deck], digest(inputs), rotate_cores=True)
