@@ -1,7 +1,8 @@
 """Command-line front end: gate application, evolution traces, term tools.
 
-Exit codes: 0 success, 1 verification failures, 2 unreadable input or
-bad arguments, 3 gate domain violations, 4 ring window violations.
+Exit codes: 0 success, 1 verification failures or gate/arithmetic
+disagreement, 2 unreadable input or bad arguments, 3 gate domain
+violations, 4 ring window violations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import Config
-from .dynamics import WindowError, build_model, detect_stopping_time
+from .dynamics import MIN_DIM, WindowError, build_model, detect_stopping_time
 from .gates import (
     AncillaError,
     GateDomainError,
@@ -22,11 +23,9 @@ from .gates import (
     apply_gate,
     iterate_plus,
 )
-from .logic import OP_NAMES, truth_table_text
+from .logic import OP_NAMES, DisagreementError, truth_table_text
 from .states import Ket
 from .terms import (
-    ArityError,
-    TermSyntaxError,
     arity,
     enumerate_class,
     evaluate_gates,
@@ -43,6 +42,16 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_WINDOW = 4
+
+# Exit code of each exception the commands raise, looked up along the
+# exception's method resolution order so the most specific entry wins.
+_EXIT_CODES: dict[type[Exception], int] = {
+    ValueError: EXIT_PARSE,
+    GateDomainError: EXIT_DOMAIN,
+    AncillaError: EXIT_DOMAIN,
+    WindowError: EXIT_WINDOW,
+    DisagreementError: EXIT_FAIL,
+}
 
 _GATE_NAMES = {
     "plus": GateKind.PLUS,
@@ -159,15 +168,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report["ok"] else EXIT_FAIL
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, dynamics_flags: bool = True) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags that evolve and verify both read; explicit flags win over the file."""
     parser.add_argument("--config", metavar="FILE", help="JSON config file")
-    if dynamics_flags:
-        parser.add_argument("--dim", "-D", type=int, help="ring size (even, >= 8)")
-        parser.add_argument("--epsilon", type=float, help="fidelity threshold margin")
-        parser.add_argument("--dt", type=float, help="integrator step bound")
-        parser.add_argument("--t-max", dest="t_max", type=float, help="trace horizon")
-    parser.add_argument("--class-bound", dest="class_bound", type=int,
-                        help="term class bound for sweeps")
+    parser.add_argument("--dim", "-D", type=int, help=f"ring size (even, >= {MIN_DIM})")
+    parser.add_argument("--epsilon", type=float, help="fidelity threshold margin")
+    parser.add_argument("--t-max", dest="t_max", type=float, help="trace horizon")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,6 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0)
     _add_config_flags(p)
+    p.add_argument("--dt", type=float, help="integrator step bound")
+    p.add_argument("--class-bound", dest="class_bound", type=int,
+                   help="term class bound for sweeps")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -225,23 +234,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WindowError as exc:
+    except (ProgramStepError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WINDOW
-    except (GateDomainError, AncillaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ProgramStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, (GateDomainError, AncillaError)):
-            return EXIT_DOMAIN
-        return EXIT_PARSE
-    except (ArityError, TermSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        cause = exc.cause if isinstance(exc, ProgramStepError) else exc
+        return next(_EXIT_CODES[t] for t in type(cause).__mro__ if t in _EXIT_CODES)
 
 
 if __name__ == "__main__":

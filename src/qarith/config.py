@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .dynamics import check_dim, check_dt, check_epsilon, check_number, check_t_max
+from .terms import check_class_bound
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "norm": 1e-12,         # gate norm preservation
@@ -35,20 +37,17 @@ class Config:
     tolerances: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 8 or self.dim % 2:
-            raise ValueError(f"D must be an even integer >= 8, got {self.dim!r}")
-        if not (0.0 < self.epsilon < 0.5):
-            raise ValueError(f"epsilon must lie in (0, 0.5), got {self.epsilon!r}")
-        if not (0.0 < self.dt <= 0.01):
-            raise ValueError(f"dt must lie in (0, 0.01], got {self.dt!r}")
-        if not (self.t_max > 0.0) or not math.isfinite(self.t_max):
-            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
-        if not isinstance(self.class_bound, int) or not (0 <= self.class_bound <= 3):
-            raise ValueError(f"class_bound must be in 0..3, got {self.class_bound!r}")
+        check_dim(self.dim)
+        check_epsilon(self.epsilon)
+        check_dt(self.dt)
+        check_t_max(self.t_max)
+        check_class_bound(self.class_bound)
+        if not isinstance(self.tolerances, Mapping):
+            raise ValueError(f"tolerances must map names to numbers, got {self.tolerances!r}")
         for name, value in self.tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")
-            if not (float(value) > 0.0):
+            if not (check_number(value, f"tolerance {name!r}") > 0.0):
                 raise ValueError(f"tolerance {name!r} must be positive, got {value!r}")
 
     def tol(self, name: str) -> float:

@@ -15,6 +15,7 @@ away from the wrap-around point of the ring.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -34,6 +35,38 @@ MAX_STEP_PHASE = 0.02
 
 MIN_DIM = 8
 MAX_DT = 0.01
+
+
+def check_number(value: object, name: str) -> float:
+    """``value`` as a float; booleans and non-numbers raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_dim(dim: object) -> None:
+    """Ring size: an even integer of at least MIN_DIM labels."""
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < MIN_DIM or dim % 2:
+        raise ValueError(f"ring size D must be an even integer >= {MIN_DIM}, got {dim!r}")
+
+
+def check_dt(dt: object) -> None:
+    """Integrator step bound, in (0, MAX_DT]."""
+    if not (0.0 < check_number(dt, "dt") <= MAX_DT):
+        raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
+
+
+def check_epsilon(epsilon: object) -> None:
+    """Stopping-time threshold margin, in (0, 0.5)."""
+    if not (0.0 < check_number(epsilon, "epsilon") < 0.5):
+        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
+
+
+def check_t_max(t_max: object) -> None:
+    """Trace horizon: positive and finite."""
+    value = check_number(t_max, "t_max")
+    if not (value > 0.0) or not math.isfinite(value):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
 
 
 class WindowError(ValueError):
@@ -69,8 +102,7 @@ class HamiltonianModel:
     energy_b: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < MIN_DIM or self.dim % 2:
-            raise ValueError(f"ring size must be an even integer >= {MIN_DIM}, got {self.dim!r}")
+        check_dim(self.dim)
         if not (self.hbar > 0.0) or not math.isfinite(self.hbar):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
         half = self.dim // 2
@@ -162,34 +194,32 @@ def _ring_state(model: HamiltonianModel, n: int, m: int, t: float) -> np.ndarray
     return psi
 
 
-def _pair_ket(model: HamiltonianModel, n: int, vec: np.ndarray) -> Ket:
-    amps: dict[tuple[int, ...], complex] = {}
-    for idx, amp in enumerate(vec):
-        if abs(amp) ** 2 >= PRUNE_EPS_SQ:
-            amps[(n, model.label_at(idx))] = complex(amp)
-    return Ket(2, amps)
+def _propagate(model: HamiltonianModel, n: int, m: int, t: float) -> np.ndarray:
+    """Ring-register amplitudes of the pair (n, m) at time t, control phase included."""
+    t = _check_time(t)
+    model.check_window(n, m)
+    phase = np.exp(-1j * t * model.energy_a_value(n) / model.hbar)
+    return phase * _ring_state(model, n, m, t)
+
+
+def _ring_ket(model: HamiltonianModel, vec: np.ndarray, control: tuple[int, ...]) -> Ket:
+    """Ket over (control..., ring label), pruned below PRUNE_EPS_SQ."""
+    amps = {
+        control + (model.label_at(idx),): complex(amp)
+        for idx, amp in enumerate(vec)
+        if abs(amp) ** 2 >= PRUNE_EPS_SQ
+    }
+    return Ket(len(control) + 1, amps)
 
 
 def evolve_exact(model: HamiltonianModel, n: int, m: int, t: float) -> Ket:
     """Closed-form propagation of the basis pair (n, m) for time t."""
-    t = _check_time(t)
-    model.check_window(n, m)
-    phase = np.exp(-1j * t * model.energy_a_value(n) / model.hbar)
-    return _pair_ket(model, n, phase * _ring_state(model, n, m, t))
+    return _ring_ket(model, _propagate(model, n, m, t), (n,))
 
 
 def subsystem_evolve(model: HamiltonianModel, n: int, m: int, t: float) -> Ket:
     """Ring register alone; the control stays at n and factors out."""
-    t = _check_time(t)
-    model.check_window(n, m)
-    phase = np.exp(-1j * t * model.energy_a_value(n) / model.hbar)
-    vec = phase * _ring_state(model, n, m, t)
-    amps = {
-        (model.label_at(idx),): complex(a)
-        for idx, a in enumerate(vec)
-        if abs(a) ** 2 >= PRUNE_EPS_SQ
-    }
-    return Ket(1, amps)
+    return _ring_ket(model, _propagate(model, n, m, t), ())
 
 
 def _rk4_segment(h_matrix: np.ndarray, psi: np.ndarray, duration: float, max_step: float) -> np.ndarray:
@@ -221,9 +251,8 @@ def evolve_numeric(
     even at the edge of the label window.
     """
     t = _check_time(t)
+    check_dt(dt)
     dt = float(dt)
-    if not (0.0 < dt <= MAX_DT):
-        raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
     model.check_window(n, m)
     c = model.coupling_value(n)
     ea = model.energy_a_value(n)
@@ -243,7 +272,7 @@ def evolve_numeric(
     psi = _ring_start(model, m)
     psi = _rk4_segment(h_on, psi, t_on, max_step(on_rate))
     psi = _rk4_segment(h_free, psi, t_free, max_step(free_rate))
-    return _pair_ket(model, n, psi)
+    return _ring_ket(model, psi, (n,))
 
 
 @dataclass(frozen=True)
@@ -294,10 +323,8 @@ def detect_stopping_time(
     samples: int = 200,
 ) -> EvolutionTrace:
     """Sample the run on a uniform grid and locate the sustained crossing."""
-    if not (0.0 < epsilon < 0.5):
-        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
-    if not (t_max > 0.0) or not math.isfinite(t_max):
-        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    check_epsilon(epsilon)
+    check_t_max(t_max)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     model.check_window(n, m)

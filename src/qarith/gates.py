@@ -228,6 +228,6 @@ def run_program(program: GateProgram, state: Ket) -> Ket:
     for i, step in enumerate(program.steps):
         try:
             state = apply_gate(state, step.kind, step.roles)
-        except (ValueError, GateDomainError, AncillaError) as exc:
+        except ValueError as exc:
             raise ProgramStepError(i, step, exc) from exc
     return state

@@ -17,6 +17,10 @@ from .states import Ket, basis_ket
 OP_NAMES = ("not", "and", "or")
 
 
+class DisagreementError(RuntimeError):
+    """The compiled gate program and the arithmetic give different values."""
+
+
 def _check_bit(value: object, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
@@ -129,7 +133,11 @@ def eval_arithmetic(name: str, *bits: int) -> int:
 
 
 def truth_table(name: str) -> list[tuple[int, ...]]:
-    """Rows of (inputs..., result) in lexicographic input order."""
+    """Rows of (inputs..., result) in lexicographic input order.
+
+    Each result is computed both by arithmetic and by the compiled gate
+    program; a row on which the two differ raises DisagreementError.
+    """
     op = compiled_op(name)
     rows = []
     if op.arity == 1:
@@ -137,7 +145,13 @@ def truth_table(name: str) -> list[tuple[int, ...]]:
     else:
         inputs = [(p, q) for p in (0, 1) for q in (0, 1)]
     for args in inputs:
-        rows.append(args + (eval_arithmetic(name, *args),))
+        value = eval_arithmetic(name, *args)
+        gate_value = eval_with_gates(name, *args)
+        if gate_value != value:
+            raise DisagreementError(
+                f"{name}{args}: arithmetic gives {value}, gates give {gate_value}"
+            )
+        rows.append(args + (value,))
     return rows
 
 

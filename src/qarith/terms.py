@@ -59,6 +59,17 @@ class ArityError(ValueError):
     """Argument count does not match the term's leaf count."""
 
 
+# Class sizes explode combinatorially (class 4 has ~2e12 terms), so
+# exhaustive sweeps stop at class 3.
+MAX_CLASS_BOUND = 3
+
+
+def check_class_bound(bound: object) -> None:
+    """Class bound for exhaustive sweeps, in 0..MAX_CLASS_BOUND."""
+    if not isinstance(bound, int) or isinstance(bound, bool) or not (0 <= bound <= MAX_CLASS_BOUND):
+        raise ValueError(f"class bound must be in 0..{MAX_CLASS_BOUND}, got {bound!r}")
+
+
 def arity(term: Term) -> int:
     if isinstance(term, FreeVar):
         return 1
@@ -443,12 +454,11 @@ class BijectionReport:
 def bijection_report(max_class: int) -> BijectionReport:
     """Exhaustively check index_of/term_of agree up to a class bound.
 
-    Class sizes explode combinatorially, so the bound is capped at 3.
-    Any failure is recorded with the index, the term, and the clashing
-    partner, so a broken scheme is directly inspectable.
+    The bound is capped at MAX_CLASS_BOUND.  Any failure is recorded
+    with the index, the term, and the clashing partner, so a broken
+    scheme is directly inspectable.
     """
-    if max_class < 0 or max_class > 3:
-        raise ValueError(f"class bound must be in 0..3, got {max_class}")
+    check_class_bound(max_class)
     seen: dict[Term, int] = {}
     failures: list[dict] = []
     counts = []

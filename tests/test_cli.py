@@ -1,12 +1,18 @@
 """Command-line behavior: JSON in/out, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from qarith import cli, logic
 from qarith.cli import main
+from qarith.config import Config
+from qarith.dynamics import build_model, detect_stopping_time, evolve_numeric
+from qarith.gates import GateDomainError, GateKind, GateStep, ProgramStepError
+from qarith.terms import bijection_report
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +121,50 @@ def test_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dt": "x"},
+        {"epsilon": "0.1"},
+        {"t_max": None},
+        {"t_max": True},
+        {"class_bound": True},
+        {"tolerances": 5},
+        {"tolerances": {"norm": None}},
+    ],
+    ids=json.dumps,
+)
+def test_mistyped_config_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", "logic", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "field,flag,value,layer",
+    [
+        ("dim", "-D", 7, lambda: build_model(7)),
+        ("dt", "--dt", 0.02, lambda: evolve_numeric(build_model(32), 2, 3, 1.0, 0.02)),
+        ("epsilon", "--epsilon", 0.5,
+         lambda: detect_stopping_time(build_model(32), 2, 3, 0.5, 1.5)),
+        ("t_max", "--t-max", math.inf,
+         lambda: detect_stopping_time(build_model(32), 2, 3, 1e-3, math.inf)),
+        ("class_bound", "--class-bound", 4, lambda: bijection_report(4)),
+    ],
+    ids=["dim", "dt", "epsilon", "t_max", "class_bound"],
+)
+def test_out_of_range_bound_rejected_alike(capsys, field, flag, value, layer):
+    with pytest.raises(ValueError) as from_layer:
+        layer()
+    with pytest.raises(ValueError) as from_config:
+        Config(**{field: value})
+    assert str(from_config.value) == str(from_layer.value)
+    code, _, err = run_cli(capsys, "verify", "logic", flag, str(value))
+    assert (code, err) == (2, f"error: {from_layer.value}\n")
+
+
 def test_enumerate_lists_class1(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "1", "16")
     assert code == 0
@@ -164,6 +214,27 @@ def test_truth_table_output(capsys):
     rows = [line.split() for line in out.splitlines()]
     assert rows[0] == ["p", "q", "result"]
     assert rows[1:] == [["0", "0", "0"], ["0", "1", "1"], ["1", "0", "1"], ["1", "1", "1"]]
+
+
+def test_truth_table_disagreement_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(logic, "eval_with_gates", lambda name, *bits: 1 - logic.and_(*bits))
+    code, _, err = run_cli(capsys, "truth-table", "and")
+    assert code == 1
+    assert "gates give" in err
+
+
+@pytest.mark.parametrize(
+    "cause,expected",
+    [(GateDomainError((0, 3), (0, 1)), 3), (ValueError("bad roles"), 2)],
+)
+def test_program_step_error_exits_by_cause(capsys, monkeypatch, cause, expected):
+    def failing(term, args):
+        raise ProgramStepError(0, GateStep(GateKind.TIMES_STRICT, (0, 1)), cause)
+
+    monkeypatch.setattr(cli, "evaluate_gates", failing)
+    code, _, err = run_cli(capsys, "eval", "7", "1", "2", "3", "4")
+    assert code == expected
+    assert err.startswith("error: step 0 (TIMES_STRICT (0, 1))")
 
 
 def test_verify_suite_passes(capsys):
