@@ -14,7 +14,14 @@ import sys
 from pathlib import Path
 
 from .config import Config
-from .dynamics import MIN_DIM, WindowError, build_model, detect_stopping_time
+from .dynamics import (
+    MAX_SAMPLES,
+    MIN_DIM,
+    WindowError,
+    build_model,
+    check_samples,
+    detect_stopping_time,
+)
 from .gates import (
     AncillaError,
     GateDomainError,
@@ -105,6 +112,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    check_samples(args.samples)
     config = _config_from_args(args)
     model = build_model(config.dim)
     trace = detect_stopping_time(
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="trace an addition run and detect its stopping time")
     p.add_argument("n", type=int, help="control register label")
     p.add_argument("m", type=int, help="initial ring register label")
-    p.add_argument("--samples", type=int, default=200, help="grid points")
+    p.add_argument("--samples", type=int, default=200, help=f"grid points (2..{MAX_SAMPLES})")
     p.add_argument("--out", metavar="PREFIX", help="write PREFIX.csv and PREFIX.json")
     _add_config_flags(p)
     p.set_defaults(func=cmd_evolve)

@@ -10,7 +10,7 @@ import pytest
 from qarith import cli, logic
 from qarith.cli import main
 from qarith.config import Config
-from qarith.dynamics import build_model, detect_stopping_time, evolve_numeric
+from qarith.dynamics import MAX_SAMPLES, build_model, detect_stopping_time, evolve_numeric
 from qarith.gates import GateDomainError, GateKind, GateStep, ProgramStepError
 from qarith.terms import bijection_report
 
@@ -152,16 +152,23 @@ def test_mistyped_config_exits_2(tmp_path, capsys, doc):
         ("t_max", "--t-max", math.inf,
          lambda: detect_stopping_time(build_model(32), 2, 3, 1e-3, math.inf)),
         ("class_bound", "--class-bound", 4, lambda: bijection_report(4)),
+        # not a config field: only `evolve` reads it
+        (None, "--samples", MAX_SAMPLES + 1,
+         lambda: detect_stopping_time(build_model(32), 2, 3, 1e-3, 1.5, MAX_SAMPLES + 1)),
     ],
-    ids=["dim", "dt", "epsilon", "t_max", "class_bound"],
+    ids=["dim", "dt", "epsilon", "t_max", "class_bound", "samples"],
 )
 def test_out_of_range_bound_rejected_alike(capsys, field, flag, value, layer):
     with pytest.raises(ValueError) as from_layer:
         layer()
-    with pytest.raises(ValueError) as from_config:
-        Config(**{field: value})
-    assert str(from_config.value) == str(from_layer.value)
-    code, _, err = run_cli(capsys, "verify", "logic", flag, str(value))
+    if field is None:
+        command = ["evolve", "2", "3"]
+    else:
+        command = ["verify", "logic"]
+        with pytest.raises(ValueError) as from_config:
+            Config(**{field: value})
+        assert str(from_config.value) == str(from_layer.value)
+    code, _, err = run_cli(capsys, *command, flag, str(value))
     assert (code, err) == (2, f"error: {from_layer.value}\n")
 
 

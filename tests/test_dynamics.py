@@ -15,6 +15,8 @@ from scipy.linalg import expm
 
 from qarith.dynamics import (
     GATE_TIME,
+    MAX_SAMPLES,
+    TRACE_BLOCK,
     HamiltonianModel,
     WindowError,
     build_model,
@@ -163,6 +165,27 @@ def test_exact_matches_expm_oracle_with_free_terms():
         assert np.linalg.norm(got - want) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "coupling,t",
+    [
+        # the shift -20 wraps the ring: d = x - m - s reaches D
+        ({2: -20.0}, 0.5),
+        ({2: -20.0}, 1.0),
+        ({2: -20.0}, 1.3),
+        # a shift too small to resolve: the kernel stays flat at 1
+        ({}, 5e-324),
+    ],
+    ids=["wrap-0.5", "wrap-1.0", "wrap-1.3", "tiny-t"],
+)
+def test_closed_form_edge_cases_match_expm_oracle(coupling, t):
+    model = build_model(32, coupling=coupling)
+    state = evolve_exact(model, 2, 3, t)
+    assert abs(state.norm() - 1.0) <= 1e-12
+    got = dense_ring(model, state, 2)
+    want = oracle_ring(model, 2, 3, t)
+    assert np.linalg.norm(got - want) <= 1e-12
+
+
 def test_hbar_rescales_time():
     slow = build_model(32, hbar=2.0)
     fast = build_model(32)
@@ -233,6 +256,40 @@ def test_subsystem_consistency_example():
     assert collapsed.distance(sub) <= 1e-9
 
 
+def test_default_route_builds_no_dense_matrix():
+    model = build_model(32)
+    evolve_exact(model, 2, 3, 0.4)
+    subsystem_evolve(model, 2, 3, 0.4)
+    detect_stopping_time(model, 2, 3, 1e-3, 1.5)
+    assert "fourier_matrix" not in model.__dict__
+    assert "shift_generator" not in model.__dict__
+
+
+@pytest.mark.parametrize("dim", [8, 32, 256])
+@pytest.mark.parametrize(
+    "hbar,fraction", [(1.0, 0.0), (2.0, 0.0), (1.0, 0.37)], ids=["default", "hbar", "coupling"]
+)
+def test_trace_fidelity_matches_point_evolution(dim, hbar, fraction):
+    n, m = dim // 4 - 1, 1
+    model = build_model(dim, hbar=hbar, coupling={n: n + fraction})
+    trace = detect_stopping_time(model, n, m, 1e-3, 1.5, 200)
+    # at D = 256 the grid spans more than one row block of the trace
+    assert dim < 256 or TRACE_BLOCK // dim < 200
+    for t, fid in zip(trace.times, trace.fidelity):
+        want = abs(evolve_exact(model, n, m, t).amplitude((n, n + m))) ** 2
+        assert abs(fid - want) <= 1e-12, t
+
+
+def test_free_term_trace_matches_expm_oracle():
+    model = build_model(16, energy_a={2: 0.7}, energy_b={0: 0.3, 5: 1.1})
+    trace = detect_stopping_time(model, 2, 3, 1e-3, 1.6, 40)
+    tidx = model.ring_index(5)
+    for t, fid, leak in zip(trace.times, trace.fidelity, trace.leakage):
+        probs = np.abs(oracle_ring(model, 2, 3, t)) ** 2
+        assert abs(fid - probs[tidx]) <= 1e-12, t
+        assert abs(leak - (probs.sum() - probs[tidx])) <= 1e-12, t
+
+
 def test_stopping_time_near_unit():
     model = build_model(32)
     trace = detect_stopping_time(model, 2, 3, 1e-3, 1.2, 200)
@@ -296,6 +353,9 @@ def test_detect_validation():
         detect_stopping_time(model, 2, 3, 1e-3, 0.0)
     with pytest.raises(ValueError):
         detect_stopping_time(model, 2, 3, 1e-3, 1.0, samples=1)
+    for samples in (True, 200.0, MAX_SAMPLES + 1):
+        with pytest.raises(ValueError):
+            detect_stopping_time(model, 2, 3, 1e-3, 1.0, samples=samples)
 
 
 def test_trace_csv_format():
