@@ -67,16 +67,63 @@ class ProgramStepError(RuntimeError):
         super().__init__(f"step {step_index} ({step.kind.value} {step.roles}): {cause}")
 
 
-def _check_roles(state: Ket, kind: GateKind, roles: tuple[int, ...]) -> None:
-    if len(roles) != ARITY[kind]:
-        raise ValueError(f"{kind.value} takes {ARITY[kind]} roles, got {roles}")
+def _check_roles(registers: int, kind: GateKind, roles: tuple[int, ...]) -> None:
+    arity = ARITY.get(kind)
+    if arity is None:
+        # apply_gate hands any other kind to apply_times, which says so.
+        raise ValueError(f"not a multiplier mode: {kind!r}")
+    if len(roles) != arity:
+        raise ValueError(f"{kind.value} takes {arity} roles, got {roles}")
     if len(set(roles)) != len(roles):
         raise ValueError(f"roles must be distinct registers, got {roles}")
     for r in roles:
-        if not isinstance(r, int) or r < 0 or r >= state.registers:
-            raise ValueError(
-                f"role {r!r} out of range for a {state.registers}-register state"
-            )
+        if not isinstance(r, int) or r < 0 or r >= registers:
+            raise ValueError(f"role {r!r} out of range for a {registers}-register state")
+
+
+def _label_map(kind: GateKind, roles: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The basis-label map of one gate; roles must already be checked.
+
+    Both routes apply it: ``_relabel`` to every component of a ket, and
+    ``run_basis`` to a single label tuple.
+    """
+    if kind is GateKind.PLUS:
+        s, t = roles
+
+        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
+            new = list(key)
+            new[t] = key[t] + key[s]
+            return tuple(new)
+
+    elif kind is GateKind.MINUS:
+        s, t = roles
+
+        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
+            new = list(key)
+            new[t] = key[t] - key[s]
+            return tuple(new)
+
+    elif kind is GateKind.TIMES_STRICT:
+        s, t = roles
+
+        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
+            if key[s] == 0:
+                raise GateDomainError(key, (s, t))
+            new = list(key)
+            new[t] = key[s] * key[t]
+            return tuple(new)
+
+    else:
+        a, b, c = roles
+
+        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
+            if key[c] != 0:
+                raise AncillaError(key, c)
+            new = list(key)
+            new[c] = key[a] * key[b]
+            return tuple(new)
+
+    return fn
 
 
 def _relabel(state: Ket, fn: Callable[[tuple[int, ...]], tuple[int, ...]]) -> Ket:
@@ -89,28 +136,14 @@ def _relabel(state: Ket, fn: Callable[[tuple[int, ...]], tuple[int, ...]]) -> Ke
 
 def apply_plus(state: Ket, roles: tuple[int, int] = (0, 1)) -> Ket:
     """Add the source label into the target: (..n.., ..m..) -> (..n.., ..n+m..)."""
-    _check_roles(state, GateKind.PLUS, roles)
-    s, t = roles
-
-    def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-        new = list(key)
-        new[t] = key[t] + key[s]
-        return tuple(new)
-
-    return _relabel(state, fn)
+    _check_roles(state.registers, GateKind.PLUS, roles)
+    return _relabel(state, _label_map(GateKind.PLUS, roles))
 
 
 def apply_minus(state: Ket, roles: tuple[int, int] = (0, 1)) -> Ket:
     """Subtract the source label from the target; inverse of apply_plus."""
-    _check_roles(state, GateKind.MINUS, roles)
-    s, t = roles
-
-    def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-        new = list(key)
-        new[t] = key[t] - key[s]
-        return tuple(new)
-
-    return _relabel(state, fn)
+    _check_roles(state.registers, GateKind.MINUS, roles)
+    return _relabel(state, _label_map(GateKind.MINUS, roles))
 
 
 def apply_times(
@@ -118,35 +151,12 @@ def apply_times(
     mode: GateKind = GateKind.TIMES_STRICT,
     roles: tuple[int, ...] | None = None,
 ) -> Ket:
-    if mode is GateKind.TIMES_STRICT:
-        roles = (0, 1) if roles is None else roles
-        _check_roles(state, mode, roles)
-        s, t = roles
-
-        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-            if key[s] == 0:
-                raise GateDomainError(key, (s, t))
-            new = list(key)
-            new[t] = key[s] * key[t]
-            return tuple(new)
-
-        return _relabel(state, fn)
-
-    if mode is GateKind.TIMES_REVERSIBLE:
-        roles = (0, 1, 2) if roles is None else roles
-        _check_roles(state, mode, roles)
-        a, b, c = roles
-
-        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-            if key[c] != 0:
-                raise AncillaError(key, c)
-            new = list(key)
-            new[c] = key[a] * key[b]
-            return tuple(new)
-
-        return _relabel(state, fn)
-
-    raise ValueError(f"not a multiplier mode: {mode!r}")
+    if mode is not GateKind.TIMES_STRICT and mode is not GateKind.TIMES_REVERSIBLE:
+        raise ValueError(f"not a multiplier mode: {mode!r}")
+    if roles is None:
+        roles = (0, 1) if mode is GateKind.TIMES_STRICT else (0, 1, 2)
+    _check_roles(state.registers, mode, roles)
+    return _relabel(state, _label_map(mode, roles))
 
 
 def iterate_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
@@ -231,3 +241,25 @@ def run_program(program: GateProgram, state: Ket) -> Ket:
         except ValueError as exc:
             raise ProgramStepError(i, step, exc) from exc
     return state
+
+
+def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Run a program on one basis state, given as its label tuple.
+
+    Gates only permute basis labels, so this equals ``run_program`` on
+    ``basis_ket(*labels)`` without building a ket per step: it returns
+    the final state's labels, and fails with the same errors.
+    """
+    if not labels:
+        raise ValueError("need at least one register label")
+    for label in labels:
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise ValueError(f"register label must be an integer, got {label!r}")
+    labels = tuple(labels)
+    for i, step in enumerate(program.steps):
+        try:
+            _check_roles(len(labels), step.kind, step.roles)
+            labels = _label_map(step.kind, step.roles)(labels)
+        except ValueError as exc:
+            raise ProgramStepError(i, step, exc) from exc
+    return labels

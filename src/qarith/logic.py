@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gates import GateKind, GateProgram, GateStep, run_program
+from .gates import GateKind, GateProgram, GateStep, run_basis
 from .states import Ket, basis_ket
 
 OP_NAMES = ("not", "and", "or")
@@ -60,11 +60,14 @@ class CompiledBoolOp:
     def registers(self) -> int:
         return self.arity + len(self.constants)
 
-    def initial_state(self, *bits: int) -> Ket:
+    def initial_labels(self, *bits: int) -> tuple[int, ...]:
         if len(bits) != self.arity:
             raise ValueError(f"{self.name} takes {self.arity} input(s), got {len(bits)}")
         checked = tuple(_check_bit(b, f"input {i}") for i, b in enumerate(bits))
-        return basis_ket(*checked, *self.constants)
+        return (*checked, *self.constants)
+
+    def initial_state(self, *bits: int) -> Ket:
+        return basis_ket(*self.initial_labels(*bits))
 
 
 @lru_cache(maxsize=None)
@@ -105,18 +108,9 @@ def compiled_op(name: str) -> CompiledBoolOp:
     raise ValueError(f"unknown connective {name!r}; expected one of {OP_NAMES}")
 
 
-def sole_label(state: Ket, register: int) -> int:
-    """Label at ``register`` of a single-component state."""
-    items = list(state.items())
-    if len(items) != 1:
-        raise ValueError(f"state has {len(items)} components, expected exactly 1")
-    return items[0][0][register]
-
-
 def eval_with_gates(name: str, *bits: int) -> int:
     op = compiled_op(name)
-    final = run_program(op.program, op.initial_state(*bits))
-    return sole_label(final, op.result_register)
+    return run_basis(op.program, op.initial_labels(*bits))[op.result_register]
 
 
 def eval_arithmetic(name: str, *bits: int) -> int:

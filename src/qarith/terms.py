@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 
-from .gates import GateKind, GateProgram, GateStep, run_program
+from .gates import GateKind, GateProgram, GateStep, run_basis
 from .states import basis_ket
 
 
@@ -222,9 +222,25 @@ class TermSyntaxError(ValueError):
     """Unparseable term text."""
 
 
+# Deepest term text parse_term accepts: at most this many operations on
+# any root-to-leaf path, and at most this many nested parentheses or
+# P(/T( groups.  A term of depth d has class d - 1, and the index grows
+# doubly exponentially with class: class 12 indices have up to about
+# 3,200 decimal digits, class 13 ones up to about 6,500, past the 4,300
+# digits Python turns into text by default, and indexing a 26-leaf sum
+# (class 24) did not finish within a minute on a 2-vCPU machine.  The
+# bound keeps every parsed term printable by eval and show, and the
+# parser's recursion shallow.
+MAX_TERM_DEPTH = 13
+
 # P and T are prefix operators only when a parenthesis follows; otherwise a
 # single letter is a variable leaf.
 _TOKEN = re.compile(r"\s*(?:(?P<op>[PT])\(|(?P<m0>M0)|(?P<var>x\d+|[A-Za-z])|(?P<punct>[+*(),]))")
+
+_TOO_DEEP = f"term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}"
+
+# Parse results carry their depth: (term, operations on the longest path).
+_Parsed = tuple[Term, int]
 
 
 class _Parser:
@@ -245,6 +261,7 @@ class _Parser:
                 self.tokens.append((m.lastgroup, m.group(m.lastgroup)))  # type: ignore[arg-type]
             pos = m.end()
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -259,53 +276,65 @@ class _Parser:
         return tok
 
     def parse(self) -> Term:
-        term = self.sum()
+        term, _ = self.sum()
         if self.peek() is not None:
             raise TermSyntaxError(f"trailing input from token {self.peek()[1]!r}")
         return term
 
-    def sum(self) -> Term:
+    @staticmethod
+    def node(op: BinOp, left: _Parsed, right: _Parsed) -> _Parsed:
+        depth = 1 + max(left[1], right[1])
+        if depth > MAX_TERM_DEPTH:
+            raise TermSyntaxError(_TOO_DEEP)
+        return Node(op, left[0], right[0]), depth
+
+    def sum(self) -> _Parsed:
         term = self.product()
         while self.peek() == ("punct", "+"):
             self.take()
-            term = Node(BinOp.PLUS, term, self.product())
+            term = self.node(BinOp.PLUS, term, self.product())
         return term
 
-    def product(self) -> Term:
+    def product(self) -> _Parsed:
         term = self.factor()
         while True:
             tok = self.peek()
             if tok == ("punct", "*"):
                 self.take()
-                term = Node(BinOp.TIMES, term, self.factor())
+                term = self.node(BinOp.TIMES, term, self.factor())
             elif tok is not None and tok[1] not in ("+", ")", ","):
-                term = Node(BinOp.TIMES, term, self.factor())
+                term = self.node(BinOp.TIMES, term, self.factor())
             else:
                 return term
 
-    def factor(self) -> Term:
+    def factor(self) -> _Parsed:
         kind, text = self.take()
         if kind == "m0":
-            return FREE
+            return FREE, 0
         if kind == "var":
             # Variable names are decorative: every occurrence is a fresh leaf.
-            return FREE
-        if kind == "op":
-            op = BinOp.PLUS if text == "P" else BinOp.TIMES
-            self.take("(")
-            left = self.sum()
-            self.take(",")
-            right = self.sum()
-            self.take(")")
-            return Node(op, left, right)
-        if (kind, text) == ("punct", "("):
-            term = self.sum()
-            self.take(")")
+            return FREE, 0
+        if kind == "op" or (kind, text) == ("punct", "("):
+            self.nesting += 1
+            if self.nesting > MAX_TERM_DEPTH:
+                raise TermSyntaxError(_TOO_DEEP)
+            if kind == "op":
+                self.take("(")
+                left = self.sum()
+                self.take(",")
+                right = self.sum()
+                self.take(")")
+                term = self.node(BinOp.PLUS if text == "P" else BinOp.TIMES, left, right)
+            else:
+                term = self.sum()
+                self.take(")")
+            self.nesting -= 1
             return term
         raise TermSyntaxError(f"unexpected token {text!r}")
 
 
 def parse_term(text: str) -> Term:
+    """Term from prefix or infix text, at most MAX_TERM_DEPTH deep."""
     if not isinstance(text, str) or not text.strip():
         raise TermSyntaxError("empty term")
     return _Parser(text).parse()
@@ -348,8 +377,11 @@ class CompiledTerm:
     registers: int
     result_register: int
 
+    def initial_labels(self, args: tuple[int, ...]) -> tuple[int, ...]:
+        return (*args, *([0] * (self.registers - self.arity)))
+
     def initial_state(self, args: tuple[int, ...]):
-        return basis_ket(*args, *([0] * (self.registers - self.arity)))
+        return basis_ket(*self.initial_labels(args))
 
 
 @lru_cache(maxsize=None)
@@ -414,15 +446,11 @@ def evaluate_gates(term: Term, args: tuple[int, ...]) -> EvalReport:
     compiled = compile_term(term)
     if len(args) != compiled.arity:
         raise ArityError(f"term takes {compiled.arity} argument(s), got {len(args)}")
-    final = run_program(compiled.program, compiled.initial_state(tuple(args)))
-    items = list(final.items())
-    if len(items) != 1:
-        raise RuntimeError(f"expected a single component, found {len(items)}")
-    gate_value = items[0][0][compiled.result_register]
+    final = run_basis(compiled.program, compiled.initial_labels(tuple(args)))
     return EvalReport(
         term=term,
         args=tuple(args),
-        gate_result=gate_value,
+        gate_result=final[compiled.result_register],
         oracle_result=evaluate_oracle(term, args),
     )
 

@@ -426,7 +426,8 @@ def check_subsystem_consistency(config: Config, rng: np.random.Generator) -> Che
 
 def check_pulse_freeze(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
-    d = dynamics.evolve_exact(model, 2, 3, 1.0).distance(dynamics.evolve_exact(model, 2, 3, 1.4))
+    n, m = _probe_pairs(config)[0]
+    d = dynamics.evolve_exact(model, n, m, 1.0).distance(dynamics.evolve_exact(model, n, m, 1.4))
     ok = d <= 1e-12
     return CheckResult("pulse_freeze", ok, f"drift past the pulse {d:.2e}")
 
@@ -743,11 +744,15 @@ def church_sweep(
     rng: np.random.Generator,
     lo: int = -3,
     hi: int = 3,
-) -> tuple[int, list[terms.EvalReport]]:
+) -> tuple[int, list[dict]]:
     """Dual-evaluate every operation up to a class bound within a case budget.
 
     Small argument grids are swept exhaustively; wider ones fall back to
-    seeded sampling so the total stays under the budget.
+    seeded sampling so the total stays under the budget.  Each case runs
+    the compiled program on label tuples; the first case of every term
+    also runs it on a ket and must reach the same basis state, so the
+    ket route of every gate the term uses is checked too.  Each
+    disagreement is reported as a JSON-ready dict.
     """
     indexed = []
     for k in range(class_bound + 1):
@@ -755,7 +760,7 @@ def church_sweep(
     width = hi - lo + 1
     quota = max(1, budget // len(indexed))
     cases = 0
-    disagreements: list[terms.EvalReport] = []
+    disagreements: list[dict] = []
     for item in indexed:
         n = terms.arity(item.term)
         if width**n <= quota:
@@ -764,12 +769,28 @@ def church_sweep(
             pool = (
                 tuple(int(v) for v in rng.integers(lo, hi + 1, size=n)) for _ in range(quota)
             )
-        for args in pool:
+        for i, args in enumerate(pool):
             report = terms.evaluate_gates(item.term, tuple(args))
             cases += 1
             if not report.agree:
-                disagreements.append(report)
+                disagreements.append(report.to_json_dict())
+            if i == 0:
+                mismatch = _ket_route_mismatch(terms.compile_term(item.term), tuple(args))
+                if mismatch is not None:
+                    disagreements.append({**report.to_json_dict(), **mismatch})
     return cases, disagreements
+
+
+def _ket_route_mismatch(compiled: terms.CompiledTerm, args: tuple[int, ...]) -> dict | None:
+    """Where the ket route and the basis lane part on one input, both outcomes."""
+    lane = gates.run_basis(compiled.program, compiled.initial_labels(args))
+    try:
+        state = gates.run_program(compiled.program, compiled.initial_state(args))
+    except gates.ProgramStepError as exc:
+        return {"basis_lane": list(lane), "ket_route": f"error: {exc}"}
+    if state == basis_ket(*lane):
+        return None
+    return {"basis_lane": list(lane), "ket_route": state.to_json_dict()}
 
 
 def check_church_correspondence(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -778,7 +799,7 @@ def check_church_correspondence(config: Config, rng: np.random.Generator) -> Che
     detail = (
         f"{cases} sampled cases, no disagreements"
         if ok
-        else f"first disagreement: {disagreements[0].to_json_dict()}"
+        else f"first disagreement: {disagreements[0]}"
     )
     return CheckResult("church_correspondence", ok, detail)
 

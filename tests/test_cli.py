@@ -12,7 +12,7 @@ from qarith.cli import main
 from qarith.config import Config
 from qarith.dynamics import MAX_SAMPLES, build_model, detect_stopping_time, evolve_numeric
 from qarith.gates import GateDomainError, GateKind, GateStep, ProgramStepError
-from qarith.terms import bijection_report
+from qarith.terms import MAX_TERM_DEPTH, bijection_report
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +207,42 @@ def test_eval_arity_error_exits_2(capsys):
     assert code == 2
 
 
+def _deep_term(shape, depth):
+    """Term text of the given depth and its arguments: a left-deep sum, or
+    one leaf inside that many parentheses."""
+    if shape == "sum":
+        return "+".join(["n"] * (depth + 1)), ["1"] * (depth + 1)
+    return "(" * depth + "n" + ")" * depth, ["1"]
+
+
+@pytest.mark.parametrize("command", ["eval", "show"])
+@pytest.mark.parametrize("shape", ["sum", "parens"])
+def test_term_depth_bound(capsys, command, shape):
+    text, args = _deep_term(shape, MAX_TERM_DEPTH)
+    code, out, err = run_cli(capsys, command, text, *(args if command == "eval" else []))
+    assert code == 0, err
+    doc = json.loads(out)
+    if command == "eval":
+        assert doc["gates"] == doc["oracle"] == len(args)
+    else:
+        assert doc["arity"] == len(args)
+    text, args = _deep_term(shape, MAX_TERM_DEPTH + 1)
+    code, out, err = run_cli(capsys, command, text, *(args if command == "eval" else []))
+    assert code == 2 and out == ""
+    assert err == f"error: term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}\n"
+
+
+def test_long_sum_exits_2_without_traceback():
+    # 600 leaves once overflowed the parser's recursion and exited 1.
+    text = "+".join(["n"] * 600)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qarith", "eval", text, *["1"] * 600],
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: term nests deeper") and "Traceback" not in proc.stderr
+
+
 def test_show_term(capsys):
     code, out, _ = run_cli(capsys, "show", "P(P(M0,M0),T(M0,M0))")
     assert code == 0
@@ -253,6 +289,14 @@ def test_verify_suite_passes(capsys):
     assert {c["name"] for c in report["checks"]} == {
         "truth_tables_dual", "de_morgan", "bit_domain",
     }
+
+
+@pytest.mark.parametrize("dim", ["8", "10"])
+def test_verify_dynamics_on_small_rings(capsys, dim):
+    # The smallest rings the CLI accepts leave no room for the pair (2, 3).
+    code, out, err = run_cli(capsys, "verify", "dynamics", "-D", dim)
+    assert code == 0, err
+    assert json.loads(out)["ok"] is True
 
 
 def test_verify_deterministic_across_processes():

@@ -1,22 +1,28 @@
 """Gate-layer tests: wide labels vs plain integer arithmetic, linear
-extension, error details, roles, and the program runner.
+extension, error details, roles, and the program runner on kets and on
+label tuples.
 
 The label window, norm, linearity and inverse properties are checks of
 ``qarith verify gates``, asserted by tests/test_verify.py."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qarith.gates import (
+    ARITY,
     AncillaError,
     GateDomainError,
     GateKind,
     GateProgram,
     GateStep,
+    ProgramStepError,
     apply_minus,
     apply_plus,
     apply_times,
     iterate_plus,
+    run_basis,
     run_program,
 )
 from qarith.states import basis_ket, superposition
@@ -140,3 +146,67 @@ def test_program_json_roundtrip():
 def test_program_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
         GateProgram.from_json(bad)
+
+
+def test_basis_lane_runs_program_on_labels():
+    program = GateProgram(
+        (
+            GateStep(GateKind.PLUS, (0, 1)),
+            GateStep(GateKind.TIMES_REVERSIBLE, (1, 2, 3)),
+        )
+    )
+    assert run_basis(program, (2, 3, 4, 0)) == (2, 5, 4, 20)
+    assert run_basis(GateProgram(()), (7,)) == (7,)
+    with pytest.raises(ValueError, match="register label must be an integer"):
+        run_basis(program, (2, 3.0, 4, 0))
+    with pytest.raises(ValueError, match="at least one register"):
+        run_basis(program, ())
+
+
+# Labels: zero (the strict multiplier's and the ancilla's edge), small
+# ones, and ones of several hundred digits.
+LABELS = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(-(10**400), 10**400),
+)
+
+
+@st.composite
+def program_and_labels(draw):
+    registers = draw(st.integers(2, 5))
+    labels = tuple(draw(st.lists(LABELS, min_size=registers, max_size=registers)))
+    steps = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        if draw(st.integers(0, 9)):
+            # Distinct registers in range; too few of them for a three-role
+            # gate on two registers.
+            roles = draw(st.permutations(range(registers)))[: ARITY[kind]]
+        else:
+            # Any count, repeats, and registers one past either end.
+            roles = draw(st.lists(st.integers(-1, registers), min_size=1, max_size=4))
+        steps.append(GateStep(kind, tuple(roles)))
+    return GateProgram(tuple(steps)), labels
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except ProgramStepError as exc:
+        return None, exc
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(program_and_labels())
+def test_basis_lane_matches_ket_route(case):
+    program, labels = case
+    lane, lane_error = _outcome(lambda: run_basis(program, labels))
+    ket, ket_error = _outcome(lambda: run_program(program, basis_ket(*labels)))
+    if lane_error is None and ket_error is None:
+        assert [key for key, _ in ket.items()] == [lane]
+        return
+    assert lane_error is not None and ket_error is not None
+    assert lane_error.step_index == ket_error.step_index
+    assert type(lane_error.cause) is type(ket_error.cause)
+    assert str(lane_error) == str(ket_error)

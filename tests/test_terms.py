@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from qarith.logic import eval_with_gates
+from qarith.states import Ket
 from qarith.terms import (
     FREE,
     ArityError,
@@ -176,6 +178,16 @@ def test_dual_evaluation_examples():
     assert evaluate_gates(FREE, (9,)).gate_result == 9
     with pytest.raises(ArityError):
         evaluate_gates(term_of(7), (1, 2))
+
+
+def test_dual_evaluation_builds_no_ket(monkeypatch):
+    # Gate programs on basis states run on label tuples.
+    def no_ket(self, *args, **kwargs):
+        raise AssertionError("a Ket was built")
+
+    monkeypatch.setattr(Ket, "__init__", no_ket)
+    assert evaluate_gates(term_of(13), (2, 3, 4)).gate_result == 20
+    assert eval_with_gates("or", 0, 1) == 1
 
 
 def test_dual_evaluation_exhaustive_class1():

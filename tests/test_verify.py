@@ -5,10 +5,14 @@ exactly as the command line does; each check then becomes its own test
 case, named after its function, that prints the check's detail.
 """
 
+import numpy as np
 import pytest
 
+from qarith import gates
 from qarith.config import Config
-from qarith.verify import SUITES, run_suite
+from qarith.states import Ket
+from qarith.terms import compile_term, cumulative_size, term_of
+from qarith.verify import SUITES, church_sweep, run_suite
 
 CHECKS = SUITES["all"]
 
@@ -25,3 +29,37 @@ def test_check(report, index):
     check = report["checks"][index]
     print(f"{check['name']}: {check['detail']}")
     assert check["ok"], check["detail"]
+
+
+@pytest.mark.parametrize("bumped", ["target", "last"])
+def test_church_sweep_checks_the_ket_route(monkeypatch, bumped):
+    # Dual evaluation runs on label tuples, so only the sweep's cross-check
+    # can see a ket-route adder that raises one register by one: the sum's
+    # target (a wrong state) or the last register (at times an ancilla, so
+    # the ket route fails at the next multiplication instead).
+    real = gates.apply_plus
+
+    def off_by_one(state, roles=(0, 1)):
+        out = real(state, roles)
+        at = roles[1] if bumped == "target" else out.registers - 1
+        return Ket(
+            out.registers,
+            {key[:at] + (key[at] + 1,) + key[at + 1:]: amp for key, amp in out.items()},
+        )
+
+    monkeypatch.setattr(gates, "apply_plus", off_by_one)
+    cases, disagreements = church_sweep(1, 2000, np.random.default_rng(0))
+    assert cases > 0 and disagreements
+    assert all(d["agree"] and "ket_route" in d for d in disagreements)
+    # one per term whose program adds: the first argument tuple of each
+    adding = [
+        delta
+        for delta in range(cumulative_size(1))
+        if any(step.kind is gates.GateKind.PLUS for step in compile_term(term_of(delta)).program.steps)
+    ]
+    assert len(disagreements) == len(adding)
+    failed = [d for d in disagreements if isinstance(d["ket_route"], str)]
+    assert bool(failed) == (bumped == "last")
+    report = run_suite("church", Config(class_bound=1), seed=0)
+    assert report["ok"] is False
+    assert "ket_route" in report["checks"][0]["detail"]
