@@ -31,7 +31,7 @@ from .gates import (
     iterate_plus,
 )
 from .logic import OP_NAMES, DisagreementError, truth_table_text
-from .states import Ket
+from .states import Ket, check_int_text
 from .terms import (
     arity,
     enumerate_class,
@@ -135,8 +135,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Decimal integer text as ``int()`` reads it.
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _term_from_text(text: str):
     if re.fullmatch(r"\d+", text):
+        check_int_text(text, "term index")
         return term_of(int(text))
     return parse_term(text)
 
@@ -146,8 +151,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         values = tuple(int(v) for v in args.args)
     except ValueError:
+        for v in args.args:
+            if _INTEGER_TEXT.fullmatch(v):
+                check_int_text(v, "argument")
         raise ValueError("arguments must be integers") from None
     report = evaluate_gates(term, values)
+    check_int_text(report.gate_result, "gate result")
+    check_int_text(report.oracle_result, "oracle result")
     print(report.to_json())
     return EXIT_OK if report.agree else EXIT_FAIL
 

@@ -84,8 +84,8 @@ def _check_roles(registers: int, kind: GateKind, roles: tuple[int, ...]) -> None
 def _label_map(kind: GateKind, roles: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The basis-label map of one gate; roles must already be checked.
 
-    Both routes apply it: ``_relabel`` to every component of a ket, and
-    ``run_basis`` to a single label tuple.
+    Both routes apply it: ``Ket._map_labels`` to every component of a
+    ket, and ``run_basis`` to a single label tuple.
     """
     if kind is GateKind.PLUS:
         s, t = roles
@@ -126,24 +126,16 @@ def _label_map(kind: GateKind, roles: tuple[int, ...]) -> Callable[[tuple[int, .
     return fn
 
 
-def _relabel(state: Ket, fn: Callable[[tuple[int, ...]], tuple[int, ...]]) -> Ket:
-    out: dict[tuple[int, ...], complex] = {}
-    for key, amp in state.items():
-        new = fn(key)
-        out[new] = out.get(new, 0j) + amp
-    return Ket(state.registers, out)
-
-
 def apply_plus(state: Ket, roles: tuple[int, int] = (0, 1)) -> Ket:
     """Add the source label into the target: (..n.., ..m..) -> (..n.., ..n+m..)."""
     _check_roles(state.registers, GateKind.PLUS, roles)
-    return _relabel(state, _label_map(GateKind.PLUS, roles))
+    return state._map_labels(_label_map(GateKind.PLUS, roles))
 
 
 def apply_minus(state: Ket, roles: tuple[int, int] = (0, 1)) -> Ket:
     """Subtract the source label from the target; inverse of apply_plus."""
     _check_roles(state.registers, GateKind.MINUS, roles)
-    return _relabel(state, _label_map(GateKind.MINUS, roles))
+    return state._map_labels(_label_map(GateKind.MINUS, roles))
 
 
 def apply_times(
@@ -156,7 +148,7 @@ def apply_times(
     if roles is None:
         roles = (0, 1) if mode is GateKind.TIMES_STRICT else (0, 1, 2)
     _check_roles(state.registers, mode, roles)
-    return _relabel(state, _label_map(mode, roles))
+    return state._map_labels(_label_map(mode, roles))
 
 
 def iterate_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:

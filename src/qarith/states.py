@@ -8,18 +8,59 @@ mutate after construction.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-from collections.abc import Iterator, Mapping
+import sys
+from collections.abc import Callable, Iterator, Mapping
 
 # Components with squared magnitude below this are dropped at construction.
 PRUNE_EPS_SQ = 1e-30
 
 NORM_TOL = 1e-12
 
+# Python's bound on the decimal digits of an int converted to or from text;
+# 0 means none, as on interpreters older than the bound (before 3.10.7).
+_int_text_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 class ZeroNormError(ValueError):
     """Raised when normalizing a ket with no remaining amplitude."""
+
+
+def _decimal_digits(value: int) -> int:
+    """Decimal digits of ``value``, counted without converting it to text."""
+    value = abs(value)
+    # A b-bit value has at least floor((b - 1)·log10 2) + 1 digits; the
+    # constant is rounded down, so this starts at or below the count.
+    digits = max(value.bit_length() - 1, 0) * 30102999 // 10**8 + 1
+    while value >= 10**digits:
+        digits += 1
+    return digits
+
+
+def check_int_text(value: int | str, what: str) -> None:
+    """Raise ValueError if ``value`` has more digits than Python converts
+    between int and text; ``value`` is an int or the decimal text of one.
+
+    Arithmetic on labels has no such bound; only their text does.
+    """
+    limit = _int_text_limit()
+    if not limit:
+        return
+    if isinstance(value, str):
+        digits = sum(ch.isdigit() for ch in value)
+    # A value of at most 3 bits per allowed digit cannot pass the limit,
+    # since 3 < log2(10); only longer ones are counted.
+    elif value.bit_length() > 3 * limit:
+        digits = _decimal_digits(value)
+    else:
+        return
+    if digits > limit:
+        raise ValueError(
+            f"{what} has {digits} digits, past the {limit}-digit limit on integers in text "
+            "(PYTHONINTMAXSTRDIGITS)"
+        )
 
 
 def _as_key(key: int | tuple[int, ...]) -> tuple[int, ...]:
@@ -46,15 +87,38 @@ class Ket:
             if len(key) != registers:
                 raise ValueError(f"label tuple {key!r} does not match {registers} register(s)")
             for label in key:
-                if not isinstance(label, int) or isinstance(label, bool):
+                if type(label) is not int and (not isinstance(label, int) or isinstance(label, bool)):
                     raise ValueError(f"register label must be an integer, got {label!r}")
             amp = complex(amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            if not cmath.isfinite(amp):
                 raise ValueError(f"non-finite amplitude at {key!r}")
             if amp.real * amp.real + amp.imag * amp.imag >= PRUNE_EPS_SQ:
                 clean[key] = amp
         self._registers = registers
         self._amps = clean
+
+    def _map_labels(self, fn: Callable[[tuple[int, ...]], tuple[int, ...]]) -> Ket:
+        """The ket with each component's labels ``key`` replaced by ``fn(key)``.
+
+        This is the only place a ket is built without ``__init__``, and
+        ``fn`` must be a gate's label map.  Skipping validation is sound
+        for those: each returns a tuple of the same length whose labels are
+        ints computed from already-validated ints; the amplitudes are the
+        same finite, unpruned complex objects; and the dict is new, so no
+        other ket shares it.  Components are visited in order, so an error
+        ``fn`` raises names the first offending one.  A map that sends two
+        components to one label is not injective, hence no gate: it raises
+        ``RuntimeError`` rather than merging their amplitudes.
+        """
+        amps = {fn(key): amp for key, amp in self._amps.items()}
+        if len(amps) != len(self._amps):
+            raise RuntimeError(
+                f"label map sent {len(self._amps)} components to {len(amps)} labels"
+            )
+        out = object.__new__(Ket)
+        out._registers = self._registers
+        out._amps = amps
+        return out
 
     @property
     def registers(self) -> int:
@@ -164,7 +228,17 @@ class Ket:
         return {"registers": self._registers, "terms": terms}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """The state document as text; a label too long for text raises ValueError."""
+        doc = self.to_json_dict()
+        try:
+            return json.dumps(doc)
+        except ValueError:
+            # Only a label can be too long; name the first one in
+            # serialization order.
+            for key, _ in self.sorted_items():
+                for register, label in enumerate(key):
+                    check_int_text(label, f"label in register {register}")
+            raise
 
     @staticmethod
     def from_json_dict(obj: object) -> Ket:

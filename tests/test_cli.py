@@ -1,5 +1,6 @@
 """Command-line behavior: JSON in/out, exit codes, determinism."""
 
+import io
 import json
 import math
 import subprocess
@@ -61,6 +62,21 @@ def test_apply_malformed_state_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "apply", "plus", str(path))
     assert code == 2
     assert "error" in err
+
+
+def test_apply_label_past_int_text_limit_exits_2(capsys, monkeypatch):
+    # Two 3,001-digit labels read fine; their 6,001-digit product cannot be
+    # written as text.
+    big = 10**3000
+    doc = {"registers": 3, "terms": [{"labels": [big, big, 0], "re": 1.0, "im": 0.0}]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "apply", "times-reversible", "-")
+    limit = sys.get_int_max_str_digits()
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: label in register 2 has 6001 digits, past the {limit}-digit limit "
+        "on integers in text (PYTHONINTMAXSTRDIGITS)\n"
+    )
 
 
 def test_apply_missing_file_exits_2(capsys):
@@ -205,6 +221,24 @@ def test_eval_syntax_error_exits_2(capsys):
 def test_eval_arity_error_exits_2(capsys):
     code, _, _ = run_cli(capsys, "eval", "7", "1", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nm", "3", "3.5"], "arguments must be integers"),
+        (["nm", "3", "7" * 5000], "argument has 5000 digits"),
+        (["7" * 5000, "3"], "term index has 5000 digits"),
+        (["nm", "7" * 3000, "7" * 3000], "gate result has 6000 digits"),
+    ],
+    ids=["not-an-integer", "long-argument", "long-index", "long-result"],
+)
+def test_eval_integer_text_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "eval", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    if "digits" in message:
+        assert f"past the {sys.get_int_max_str_digits()}-digit limit" in err
 
 
 def _deep_term(shape, depth):

@@ -1,6 +1,6 @@
 """Gate-layer tests: wide labels vs plain integer arithmetic, linear
-extension, error details, roles, and the program runner on kets and on
-label tuples.
+extension, error details, roles, the unvalidated relabeling route on
+kets, and the program runner on kets and on label tuples.
 
 The label window, norm, linearity and inverse properties are checks of
 ``qarith verify gates``, asserted by tests/test_verify.py."""
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qarith import gates
 from qarith.gates import (
     ARITY,
     AncillaError,
@@ -18,6 +19,7 @@ from qarith.gates import (
     GateProgram,
     GateStep,
     ProgramStepError,
+    apply_gate,
     apply_minus,
     apply_plus,
     apply_times,
@@ -25,7 +27,7 @@ from qarith.gates import (
     run_basis,
     run_program,
 )
-from qarith.states import basis_ket, superposition
+from qarith.states import PRUNE_EPS_SQ, Ket, basis_ket, superposition
 
 
 def test_plus_basis_example():
@@ -210,3 +212,88 @@ def test_basis_lane_matches_ket_route(case):
     assert lane_error.step_index == ket_error.step_index
     assert type(lane_error.cause) is type(ket_error.cause)
     assert str(lane_error) == str(ket_error)
+
+
+def _expected_labels(kind, roles, key):
+    """A gate's action on one label tuple, written out as integer arithmetic."""
+    new = list(key)
+    if kind is GateKind.PLUS:
+        s, t = roles
+        new[t] = key[t] + key[s]
+    elif kind is GateKind.MINUS:
+        s, t = roles
+        new[t] = key[t] - key[s]
+    elif kind is GateKind.TIMES_STRICT:
+        s, t = roles
+        if key[s] == 0:
+            raise GateDomainError(key, roles)
+        new[t] = key[s] * key[t]
+    else:
+        a, b, c = roles
+        if key[c] != 0:
+            raise AncillaError(key, c)
+        new[c] = key[a] * key[b]
+    return tuple(new)
+
+
+# Magnitudes on both sides of the pruning threshold, and ordinary ones.
+EDGE = PRUNE_EPS_SQ**0.5
+AMPLITUDES = st.builds(
+    complex,
+    st.one_of(st.floats(EDGE / 2, EDGE * 2), st.floats(-1.0, 1.0)),
+    st.sampled_from([0.0, EDGE, -0.5]),
+)
+
+
+@st.composite
+def gate_on_ket(draw):
+    registers = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(list(GateKind)))
+    roles = tuple(draw(st.permutations(range(registers)))[: ARITY[kind]])
+    keys = draw(st.lists(
+        st.lists(LABELS, min_size=registers, max_size=registers).map(tuple),
+        min_size=0, max_size=8, unique=True,
+    ))
+    if kind is GateKind.TIMES_REVERSIBLE and len(roles) == 3 and draw(st.booleans()):
+        # A clean result register, so the reversible multiplier can succeed.
+        keys = list(dict.fromkeys(k[: roles[2]] + (0,) + k[roles[2] + 1:] for k in keys))
+    amps = {key: draw(AMPLITUDES) for key in keys}
+    return Ket(registers, amps), kind, roles
+
+
+@settings(derandomize=True, max_examples=400, database=None, deadline=None)
+@given(gate_on_ket())
+def test_relabeled_ket_matches_public_constructor(case):
+    ket, kind, roles = case
+    if len(roles) < ARITY[kind]:
+        with pytest.raises(ValueError, match="takes"):
+            apply_gate(ket, kind, roles)
+        return
+    try:
+        expected = Ket(ket.registers, {_expected_labels(kind, roles, k): a for k, a in ket.items()})
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            apply_gate(ket, kind, roles)
+        assert got.value.component == exc.component
+        assert str(got.value) == str(exc)
+        return
+    out = apply_gate(ket, kind, roles)
+    assert out.registers == ket.registers
+    assert list(out.items()) == list(expected.items())
+
+
+def test_non_injective_label_map_raises(monkeypatch):
+    # Gates never merge components; a map that would is refused, also
+    # under python -O.
+    monkeypatch.setattr(gates, "_label_map", lambda kind, roles: lambda key: (0,) * len(key))
+    with pytest.raises(RuntimeError, match="2 components to 1 labels"):
+        apply_plus(superposition({(1, 2): 0.6, (3, 4): 0.8}))
+
+
+def test_gate_leaves_input_ket_untouched():
+    state = superposition({(1, 2): 0.6, (3, 4): 0.8j})
+    before = list(state.items())
+    out = apply_plus(state)
+    assert list(state.items()) == before
+    assert list(out.items()) == [((1, 3), 0.6), ((3, 7), 0.8j)]
+    assert out._amps is not state._amps

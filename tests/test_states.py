@@ -7,6 +7,7 @@ independent computation.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +110,13 @@ def test_construction_validation():
     with pytest.raises(ValueError):
         Ket(1, {(0,): complex("nan")})
     with pytest.raises(ValueError):
+        Ket(1, {(0,): complex(0.0, math.inf)})
+    # int subclasses other than bool are labels too
+    class Label(int):
+        pass
+
+    assert Ket(1, {(Label(3),): 1.0}).amplitude(3) == 1.0
+    with pytest.raises(ValueError):
         basis_ket()
     with pytest.raises(ValueError):
         basis_ket(1).inner(basis_ket(1, 2))
@@ -122,6 +130,21 @@ def test_labels_never_wrap():
     assert ket.amplitude(big) == 1.0
     shifted = superposition({big: 1.0}).tensor(basis_ket(big))
     assert shifted.amplitude((big, big)) == 1.0
+
+
+def test_json_labels_bounded_by_int_text_limit():
+    # Labels past Python's int-to-text limit cannot be written; the error
+    # names the register, the digit count and the limit.
+    limit = sys.get_int_max_str_digits()
+    widest = basis_ket(1, -(10**limit - 1))
+    assert Ket.from_json(widest.to_json()) == widest
+    too_long = basis_ket(1, 10**limit)
+    with pytest.raises(ValueError) as exc:
+        too_long.to_json()
+    assert str(exc.value).startswith(
+        f"label in register 1 has {limit + 1} digits, past the {limit}-digit limit"
+    )
+    assert too_long.to_json_dict()["terms"][0]["labels"] == [1, 10**limit]
 
 
 def test_json_roundtrip_single_register():
