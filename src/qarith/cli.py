@@ -33,7 +33,9 @@ from .gates import (
 from .logic import OP_NAMES, DisagreementError, truth_table_text
 from .states import Ket, check_int_text
 from .terms import (
+    MAX_TERM_DEPTH,
     arity,
+    cumulative_size,
     enumerate_class,
     evaluate_gates,
     index_of,
@@ -139,10 +141,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
+# Indices of class <= _MAX_INDEX_CLASS: their terms' prefix and infix
+# forms are at most MAX_TERM_DEPTH deep, so they parse back.
+_MAX_INDEX_CLASS = MAX_TERM_DEPTH - 1
+
+
 def _term_from_text(text: str):
     if re.fullmatch(r"\d+", text):
         check_int_text(text, "term index")
-        return term_of(int(text))
+        index = int(text)
+        if index >= cumulative_size(_MAX_INDEX_CLASS):
+            raise ValueError(
+                f"term index must be below cumulative_size({_MAX_INDEX_CLASS}), "
+                f"i.e. of class <= {_MAX_INDEX_CLASS}, so its term parses back"
+            )
+        return term_of(index)
     return parse_term(text)
 
 

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
-from .states import Ket
+from .states import Ket, basis_ket
 
 
 class GateKind(Enum):
@@ -57,6 +57,10 @@ class AncillaError(ValueError):
         )
 
 
+class ArityError(ValueError):
+    """Argument count does not match a circuit's or term's inputs."""
+
+
 class ProgramStepError(RuntimeError):
     """A gate program failed; carries the offending step index."""
 
@@ -77,7 +81,7 @@ def _check_roles(registers: int, kind: GateKind, roles: tuple[int, ...]) -> None
     if len(set(roles)) != len(roles):
         raise ValueError(f"roles must be distinct registers, got {roles}")
     for r in roles:
-        if not isinstance(r, int) or r < 0 or r >= registers:
+        if not isinstance(r, int) or isinstance(r, bool) or r < 0 or r >= registers:
             raise ValueError(f"role {r!r} out of range for a {registers}-register state")
 
 
@@ -153,7 +157,7 @@ def apply_times(
 
 def iterate_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
     """Apply the adder ``count`` times (count >= 0)."""
-    if not isinstance(count, int) or count < 0:
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValueError(f"iteration count must be a non-negative integer, got {count!r}")
     for _ in range(count):
         state = apply_plus(state, roles)
@@ -255,3 +259,34 @@ def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
         except ValueError as exc:
             raise ProgramStepError(i, step, exc) from exc
     return labels
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """A gate program with the register layout that computes one value.
+
+    The first ``arity`` registers hold the arguments and the rest start
+    at ``constants``; the value is read off ``result_register`` of the
+    final state.  Compiled terms and boolean connectives are circuits.
+    """
+
+    program: GateProgram
+    arity: int
+    constants: tuple[int, ...]
+    result_register: int
+
+    @property
+    def registers(self) -> int:
+        return self.arity + len(self.constants)
+
+    def initial_labels(self, args: tuple[int, ...]) -> tuple[int, ...]:
+        if len(args) != self.arity:
+            raise ArityError(f"circuit takes {self.arity} argument(s), got {len(args)}")
+        return (*args, *self.constants)
+
+    def initial_state(self, args: tuple[int, ...]) -> Ket:
+        return basis_ket(*self.initial_labels(args))
+
+    def run(self, args: tuple[int, ...]) -> int:
+        """The value on basis-state arguments, computed on label tuples."""
+        return run_basis(self.program, self.initial_labels(args))[self.result_register]

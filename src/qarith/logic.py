@@ -1,20 +1,17 @@
 """Boolean connectives realized as register arithmetic.
 
 Truth values are the integers 0 and 1.  Negation is 1 - p, conjunction
-is the product pq, disjunction is p + q - pq.  Each connective also has
-a compiled gate form acting on basis states whose extra registers hold
-the needed constants.
+is the product pq, disjunction is p + q - pq.  Each connective also
+compiles to a ``gates.Circuit`` acting on basis states whose extra
+register holds the needed constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import itertools
+from collections.abc import Callable
 
-from .gates import GateKind, GateProgram, GateStep, run_basis
-from .states import Ket, basis_ket
-
-OP_NAMES = ("not", "and", "or")
+from .gates import Circuit, GateKind, GateProgram, GateStep
 
 
 class DisagreementError(RuntimeError):
@@ -41,89 +38,47 @@ def or_(p: int, q: int) -> int:
     return p + q - p * q
 
 
-@dataclass(frozen=True)
-class CompiledBoolOp:
-    """Gate program computing a connective on basis-encoded truth values.
+# (p, q, 0) -> (p, q, pq)
+_PRODUCT = GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2))
 
-    The first ``arity`` registers hold the inputs; ``constants`` are the
-    labels of the remaining registers in the initial state.  The value
-    is read off ``result_register`` in the final state.
-    """
+# Each connective's arithmetic and its circuit on basis-encoded truth
+# values: Circuit(program, arity, constants, result_register).
+CONNECTIVES: dict[str, tuple[Callable[..., int], Circuit]] = {
+    # (p, 1) -> (p, 1 - p)
+    "not": (not_, Circuit(GateProgram((GateStep(GateKind.MINUS, (0, 1)),)), 1, (1,), 1)),
+    "and": (and_, Circuit(GateProgram((_PRODUCT,)), 2, (0,), 2)),
+    # (p, q, 0) -> (p, q, pq) -> (p, p+q, pq) -> (p, p+q-pq, pq)
+    "or": (
+        or_,
+        Circuit(
+            GateProgram((_PRODUCT, GateStep(GateKind.PLUS, (0, 1)), GateStep(GateKind.MINUS, (2, 1)))),
+            2,
+            (0,),
+            1,
+        ),
+    ),
+}
 
-    name: str
-    arity: int
-    constants: tuple[int, ...]
-    program: GateProgram
-    result_register: int
-
-    @property
-    def registers(self) -> int:
-        return self.arity + len(self.constants)
-
-    def initial_labels(self, *bits: int) -> tuple[int, ...]:
-        if len(bits) != self.arity:
-            raise ValueError(f"{self.name} takes {self.arity} input(s), got {len(bits)}")
-        checked = tuple(_check_bit(b, f"input {i}") for i, b in enumerate(bits))
-        return (*checked, *self.constants)
-
-    def initial_state(self, *bits: int) -> Ket:
-        return basis_ket(*self.initial_labels(*bits))
+OP_NAMES = tuple(CONNECTIVES)
 
 
-@lru_cache(maxsize=None)
-def compiled_op(name: str) -> CompiledBoolOp:
-    if name == "not":
-        # (p, 1) -> (p, 1 - p)
-        return CompiledBoolOp(
-            name="not",
-            arity=1,
-            constants=(1,),
-            program=GateProgram((GateStep(GateKind.MINUS, (0, 1)),)),
-            result_register=1,
-        )
-    if name == "and":
-        # (p, q, 0) -> (p, q, pq)
-        return CompiledBoolOp(
-            name="and",
-            arity=2,
-            constants=(0,),
-            program=GateProgram((GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2)),)),
-            result_register=2,
-        )
-    if name == "or":
-        # (p, q, 0) -> (p, q, pq) -> (p, p+q, pq) -> (p, p+q-pq, pq)
-        return CompiledBoolOp(
-            name="or",
-            arity=2,
-            constants=(0,),
-            program=GateProgram(
-                (
-                    GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2)),
-                    GateStep(GateKind.PLUS, (0, 1)),
-                    GateStep(GateKind.MINUS, (2, 1)),
-                )
-            ),
-            result_register=1,
-        )
-    raise ValueError(f"unknown connective {name!r}; expected one of {OP_NAMES}")
+def _connective(name: str) -> tuple[Callable[..., int], Circuit]:
+    if name not in CONNECTIVES:
+        raise ValueError(f"unknown connective {name!r}; expected one of {OP_NAMES}")
+    return CONNECTIVES[name]
+
+
+def compiled_op(name: str) -> Circuit:
+    return _connective(name)[1]
 
 
 def eval_with_gates(name: str, *bits: int) -> int:
-    op = compiled_op(name)
-    return run_basis(op.program, op.initial_labels(*bits))[op.result_register]
+    circuit = compiled_op(name)
+    return circuit.run(tuple(_check_bit(b, f"input {i}") for i, b in enumerate(bits)))
 
 
 def eval_arithmetic(name: str, *bits: int) -> int:
-    if name == "not":
-        (p,) = bits
-        return not_(p)
-    if name == "and":
-        p, q = bits
-        return and_(p, q)
-    if name == "or":
-        p, q = bits
-        return or_(p, q)
-    raise ValueError(f"unknown connective {name!r}; expected one of {OP_NAMES}")
+    return _connective(name)[0](*bits)
 
 
 def truth_table(name: str) -> list[tuple[int, ...]]:
@@ -132,13 +87,8 @@ def truth_table(name: str) -> list[tuple[int, ...]]:
     Each result is computed both by arithmetic and by the compiled gate
     program; a row on which the two differ raises DisagreementError.
     """
-    op = compiled_op(name)
     rows = []
-    if op.arity == 1:
-        inputs: list[tuple[int, ...]] = [(0,), (1,)]
-    else:
-        inputs = [(p, q) for p in (0, 1) for q in (0, 1)]
-    for args in inputs:
+    for args in itertools.product((0, 1), repeat=compiled_op(name).arity):
         value = eval_arithmetic(name, *args)
         gate_value = eval_with_gates(name, *args)
         if gate_value != value:

@@ -79,7 +79,7 @@ class Ket:
     __slots__ = ("_registers", "_amps")
 
     def __init__(self, registers: int, amps: Mapping[tuple[int, ...], complex] | None = None):
-        if not isinstance(registers, int) or registers < 1:
+        if not isinstance(registers, int) or isinstance(registers, bool) or registers < 1:
             raise ValueError(f"register count must be a positive integer, got {registers!r}")
         clean: dict[tuple[int, ...], complex] = {}
         for key, amp in (amps or {}).items():
@@ -285,7 +285,29 @@ class Ket:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
+        except ValueError:
+            # Only an integer too long to read from text fails here.
+            _name_long_integer(text)
+            raise
         return Ket.from_json_dict(obj)
+
+
+class _IntText(str):
+    """A JSON integer kept as its decimal text."""
+
+
+def _name_long_integer(text: str) -> None:
+    """Raise ``check_int_text``'s error for the first integer of a state
+    document past the limit: a label by its register, as ``to_json`` names
+    it, else any integer."""
+    doc = json.loads(text, parse_int=_IntText)
+    entries = doc.get("terms") if isinstance(doc, dict) else None
+    for entry in entries if isinstance(entries, list) else ():
+        labels = entry.get("labels", [entry.get("label")]) if isinstance(entry, dict) else None
+        for register, label in enumerate(labels if isinstance(labels, list) else ()):
+            if isinstance(label, _IntText):
+                check_int_text(label, f"label in register {register}")
+    json.loads(text, parse_int=lambda digits: check_int_text(digits, "integer in the state document"))
 
 
 def basis_ket(*labels: int) -> Ket:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
 
-from .gates import GateKind, GateProgram, GateStep, run_basis
-from .states import basis_ket
+from .gates import ArityError, Circuit, GateKind, GateProgram, GateStep
 
 
 class BinOp(IntEnum):
@@ -53,10 +52,6 @@ class Node:
 Term = FreeVar | Node
 
 FREE = FreeVar()
-
-
-class ArityError(ValueError):
-    """Argument count does not match the term's leaf count."""
 
 
 # Class sizes explode combinatorially (class 4 has ~2e12 terms), so
@@ -363,29 +358,13 @@ def evaluate_oracle(term: Term, args: tuple[int, ...]) -> int:
     return go(term)
 
 
-@dataclass(frozen=True)
-class CompiledTerm:
+@lru_cache(maxsize=None)
+def compile_term(term: Term) -> Circuit:
     """Gate program computing a term on basis states.
 
-    Inputs occupy the first ``arity`` registers; every multiplication
-    node owns one ancilla register that must start at 0.  The value
-    appears on ``result_register``.
+    Inputs occupy the first ``arity`` registers, leaves left to right;
+    every multiplication node owns one ancilla register that starts at 0.
     """
-
-    program: GateProgram
-    arity: int
-    registers: int
-    result_register: int
-
-    def initial_labels(self, args: tuple[int, ...]) -> tuple[int, ...]:
-        return (*args, *([0] * (self.registers - self.arity)))
-
-    def initial_state(self, args: tuple[int, ...]):
-        return basis_ket(*self.initial_labels(args))
-
-
-@lru_cache(maxsize=None)
-def compile_term(term: Term) -> CompiledTerm:
     n = arity(term)
     steps: list[GateStep] = []
     next_leaf = [0]
@@ -408,10 +387,10 @@ def compile_term(term: Term) -> CompiledTerm:
         return out
 
     result = emit(term)
-    return CompiledTerm(
+    return Circuit(
         program=GateProgram(tuple(steps)),
         arity=n,
-        registers=next_ancilla[0],
+        constants=(0,) * (next_ancilla[0] - n),
         result_register=result,
     )
 
@@ -443,16 +422,10 @@ class EvalReport:
 
 def evaluate_gates(term: Term, args: tuple[int, ...]) -> EvalReport:
     """Run the compiled program and compare against the integer recursion."""
-    compiled = compile_term(term)
-    if len(args) != compiled.arity:
-        raise ArityError(f"term takes {compiled.arity} argument(s), got {len(args)}")
-    final = run_basis(compiled.program, compiled.initial_labels(tuple(args)))
-    return EvalReport(
-        term=term,
-        args=tuple(args),
-        gate_result=final[compiled.result_register],
-        oracle_result=evaluate_oracle(term, args),
-    )
+    args = tuple(args)
+    # The oracle checks the arguments first, so an arity error names the term.
+    oracle = evaluate_oracle(term, args)
+    return EvalReport(term, args, gate_result=compile_term(term).run(args), oracle_result=oracle)
 
 
 # --- indexing self-check ---------------------------------------------------
@@ -526,22 +499,6 @@ def bijection_report(max_class: int) -> BijectionReport:
                         "index": delta,
                         "term": render_term(term),
                         "index_of": back,
-                    }
-                )
-            parts = decompose_index(delta)
-            expect = (
-                None
-                if isinstance(term, FreeVar)
-                else (term.op, index_of(term.left), index_of(term.right))
-            )
-            if parts != expect:
-                failures.append(
-                    {
-                        "kind": "decomposition",
-                        "index": delta,
-                        "term": render_term(term),
-                        "decomposed": parts,
-                        "expected": expect,
                     }
                 )
     return BijectionReport(

@@ -19,6 +19,21 @@ from .config import Config
 from .states import Ket, ZeroNormError, basis_ket, superposition
 
 
+# Pass bounds of the numeric checks; every report lists them under "config".
+TOLERANCES: dict[str, float] = {
+    "norm": 1e-12,         # gate norm preservation
+    "linearity": 1e-12,    # gate linearity residual
+    "inner": 1e-12,        # inner-product algebra
+    "amplitude": 1e-15,    # amplitude drift through inverse gate pairs
+    "unitary_exact": 1e-9,
+    "unitary_numeric": 1e-6,
+    "integrator": 1e-6,    # numeric vs closed-form state distance
+    "subsystem": 1e-9,
+    "fidelity": 1e-9,      # closed-form fidelity at whole-shift times
+    "bookkeeping": 1e-9,   # fidelity + leakage vs norm
+}
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -54,7 +69,7 @@ def _random_ket(
 
 
 def check_basis_orthonormality(config: Config, rng: np.random.Generator) -> CheckResult:
-    tol = config.tol("inner")
+    tol = TOLERANCES["inner"]
     worst = 0.0
     count = 0
     for i in range(-12, 13):
@@ -68,7 +83,7 @@ def check_basis_orthonormality(config: Config, rng: np.random.Generator) -> Chec
 
 
 def check_norm_algebra(config: Config, rng: np.random.Generator) -> CheckResult:
-    tol = config.tol("inner")
+    tol = TOLERANCES["inner"]
     worst = 0.0
     for _ in range(60):
         a = _random_ket(rng, 1, int(rng.integers(1, 13)))
@@ -198,8 +213,8 @@ def _gate_sample(rng: np.random.Generator, registers: int, strict: bool, support
 
 
 def check_gate_norm_linearity(config: Config, rng: np.random.Generator) -> CheckResult:
-    norm_tol = config.tol("norm")
-    lin_tol = config.tol("linearity")
+    norm_tol = TOLERANCES["norm"]
+    lin_tol = TOLERANCES["linearity"]
     worst_norm = 0.0
     worst_lin = 0.0
     states = 0
@@ -230,7 +245,7 @@ def check_gate_norm_linearity(config: Config, rng: np.random.Generator) -> Check
 
 
 def check_plus_minus_inverse(config: Config, rng: np.random.Generator) -> CheckResult:
-    tol = config.tol("amplitude")
+    tol = TOLERANCES["amplitude"]
     worst = -1.0
     ok = True
     for _ in range(40):
@@ -351,8 +366,8 @@ def check_generator_structure(config: Config, rng: np.random.Generator) -> Check
 
 def check_whole_shift_fidelity(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
-    tol = config.tol("fidelity")
-    unit_tol = config.tol("unitary_exact")
+    tol = TOLERANCES["fidelity"]
+    unit_tol = TOLERANCES["unitary_exact"]
     worst_fid = 0.0
     worst_norm = 0.0
     cases = [(2, 3, 1.0), (2, 3, 0.5), (4, -2, 0.75), (-4, 5, 0.25), (8, 1, 0.125)]
@@ -391,8 +406,8 @@ def _window_pairs(config: Config, rng: np.random.Generator, count: int) -> list[
 
 def check_numeric_vs_exact(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
-    tol = config.tol("integrator")
-    unit_tol = config.tol("unitary_numeric")
+    tol = TOLERANCES["integrator"]
+    unit_tol = TOLERANCES["unitary_numeric"]
     worst = 0.0
     worst_norm = 0.0
     pairs = _window_pairs(config, rng, 10)
@@ -412,7 +427,7 @@ def check_numeric_vs_exact(config: Config, rng: np.random.Generator) -> CheckRes
 
 def check_subsystem_consistency(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
-    tol = config.tol("subsystem")
+    tol = TOLERANCES["subsystem"]
     worst = 0.0
     for n, m in _window_pairs(config, rng, 12):
         for t in (0.4, 1.0, 1.3):
@@ -458,7 +473,7 @@ def _probe_pairs(config: Config) -> list[tuple[int, int]]:
 
 def check_trace_bookkeeping(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
-    tol = config.tol("bookkeeping")
+    tol = TOLERANCES["bookkeeping"]
     worst = 0.0
     negative = False
     for n, m in _probe_pairs(config)[:2]:
@@ -781,7 +796,7 @@ def church_sweep(
     return cases, disagreements
 
 
-def _ket_route_mismatch(compiled: terms.CompiledTerm, args: tuple[int, ...]) -> dict | None:
+def _ket_route_mismatch(compiled: gates.Circuit, args: tuple[int, ...]) -> dict | None:
     """Where the ket route and the basis lane part on one input, both outcomes."""
     lane = gates.run_basis(compiled.program, compiled.initial_labels(args))
     try:
@@ -868,7 +883,7 @@ def run_suite(name: str, config: Config, seed: int = 0) -> dict:
     return {
         "suite": name,
         "seed": seed,
-        "config": config.to_json_dict(),
+        "config": {**config.to_json_dict(), "tolerances": TOLERANCES},
         "checks": [r.to_json_dict() for r in results],
         "passed": len(results) - failed,
         "failed": failed,

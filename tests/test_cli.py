@@ -13,7 +13,7 @@ from qarith.cli import main
 from qarith.config import Config
 from qarith.dynamics import MAX_SAMPLES, build_model, detect_stopping_time, evolve_numeric
 from qarith.gates import GateDomainError, GateKind, GateStep, ProgramStepError
-from qarith.terms import MAX_TERM_DEPTH, bijection_report
+from qarith.terms import MAX_TERM_DEPTH, bijection_report, cumulative_size
 
 
 def run_cli(capsys, *argv):
@@ -213,6 +213,15 @@ def test_eval_term_index(capsys):
     assert json.loads(out)["oracle"] == 15
 
 
+def test_apply_label_too_long_to_read_exits_2(capsys, monkeypatch):
+    text = '{"registers": 2, "terms": [{"labels": [3, %s], "re": 1.0}]}' % ("7" * 4400)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "apply", "plus", "-")
+    assert code == 2 and out == ""
+    assert err.startswith("error: label in register 1 has 4400 digits") and err.count("\n") == 1
+    assert "set_int_max_str_digits" not in err
+
+
 def test_eval_syntax_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "eval", "P(M0", "1")
     assert code == 2
@@ -275,6 +284,19 @@ def test_long_sum_exits_2_without_traceback():
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: term nests deeper") and "Traceback" not in proc.stderr
+
+
+def test_show_indices_stop_below_class_13(capsys):
+    # Class 13 terms are MAX_TERM_DEPTH + 1 deep, so their text would not parse back.
+    bound = cumulative_size(MAX_TERM_DEPTH - 1)
+    code, out, err = run_cli(capsys, "show", str(bound))
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: term index must be below cumulative_size({MAX_TERM_DEPTH - 1})")
+    code, out, _ = run_cli(capsys, "show", str(bound - 1))
+    assert code == 0
+    prefix = json.loads(out)["prefix"]
+    code, out, _ = run_cli(capsys, "show", prefix)
+    assert code == 0 and json.loads(out)["index"] == bound - 1
 
 
 def test_show_term(capsys):

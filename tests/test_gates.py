@@ -14,6 +14,8 @@ from qarith import gates
 from qarith.gates import (
     ARITY,
     AncillaError,
+    ArityError,
+    Circuit,
     GateDomainError,
     GateKind,
     GateProgram,
@@ -80,6 +82,8 @@ def test_label_maps_match_integer_arithmetic_sampled_wide():
 def test_iterate_validation():
     with pytest.raises(ValueError):
         iterate_plus(basis_ket(1, 1), -1)
+    with pytest.raises(ValueError, match="iteration count must be a non-negative integer"):
+        iterate_plus(basis_ket(1, 1), True)
     assert iterate_plus(basis_ket(5, 7), 0) == basis_ket(5, 7)
 
 
@@ -108,6 +112,27 @@ def test_role_validation():
         apply_times(basis_ket(1, 2), GateKind.TIMES_REVERSIBLE, (0, 1))
     with pytest.raises(ValueError):
         apply_times(basis_ket(1, 2), GateKind.PLUS)
+    # bools are no register indices, as GateStep.from_json_dict holds too
+    with pytest.raises(ValueError, match="role False out of range"):
+        apply_plus(basis_ket(1, 2), (False, True))
+
+
+def test_circuit_layout_and_run():
+    # (a, b, 0) -> (a, b, ab) -> (a, b + ab, ab), read off register 1
+    circuit = Circuit(
+        GateProgram(
+            (GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2)), GateStep(GateKind.PLUS, (2, 1)))
+        ),
+        arity=2,
+        constants=(0,),
+        result_register=1,
+    )
+    assert circuit.registers == 3
+    assert circuit.initial_labels((4, 5)) == (4, 5, 0)
+    assert circuit.run((4, 5)) == 25
+    assert run_program(circuit.program, circuit.initial_state((4, 5))) == basis_ket(4, 25, 20)
+    with pytest.raises(ArityError, match="circuit takes 2 argument\\(s\\), got 1"):
+        circuit.run((4,))
 
 
 def test_roles_select_registers():

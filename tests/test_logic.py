@@ -54,7 +54,7 @@ def test_compiled_shapes():
     with pytest.raises(ValueError):
         compiled_op("xor")
     with pytest.raises(ValueError):
-        compiled_op("not").initial_state(0, 1)
+        compiled_op("not").initial_state((0, 1))
 
 
 def test_truth_table_rows():

@@ -101,6 +101,9 @@ def test_pruning_threshold():
 def test_construction_validation():
     with pytest.raises(ValueError):
         Ket(0, {})
+    # a bool is no register count: from_json would reject the document
+    with pytest.raises(ValueError, match="register count must be a positive integer, got True"):
+        Ket(True, {(1,): 1.0})
     with pytest.raises(ValueError):
         Ket(1, {(0, 1): 1.0})
     with pytest.raises(ValueError):
@@ -145,6 +148,13 @@ def test_json_labels_bounded_by_int_text_limit():
         f"label in register 1 has {limit + 1} digits, past the {limit}-digit limit"
     )
     assert too_long.to_json_dict()["terms"][0]["labels"] == [1, 10**limit]
+    # Reading one back names the register too, not Python's own advice.
+    text = '{"registers": 2, "terms": [{"labels": [1, 1%s], "re": 1.0}]}' % ("0" * limit)
+    with pytest.raises(ValueError) as exc:
+        Ket.from_json(text)
+    assert str(exc.value).startswith(
+        f"label in register 1 has {limit + 1} digits, past the {limit}-digit limit"
+    )
 
 
 def test_json_roundtrip_single_register():

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qarith import gates
 from qarith.logic import eval_with_gates
 from qarith.states import Ket
 from qarith.terms import (
@@ -159,8 +160,10 @@ def test_compiled_structure():
     assert compiled.registers == 5  # one ancilla for the single times node
     assert compiled.result_register == 4
     compiled = compile_term(term_of(18))
+    assert isinstance(compiled, gates.Circuit) and compiled.constants == (0, 0, 0)
     assert compiled.registers == 7  # three times nodes
     assert compiled.result_register == 6
+    assert compiled.run((2, -1, 3, 2)) == -12
     compiled = compile_term(FREE)
     assert compiled.registers == 1 and len(compiled.program) == 0
 
@@ -178,6 +181,7 @@ def test_dual_evaluation_examples():
     assert evaluate_gates(FREE, (9,)).gate_result == 9
     with pytest.raises(ArityError):
         evaluate_gates(term_of(7), (1, 2))
+    assert ArityError is gates.ArityError
 
 
 def test_dual_evaluation_builds_no_ket(monkeypatch):
