@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .config import Config
 from .dynamics import (
+    MAX_DIM,
     MAX_SAMPLES,
     MIN_DIM,
     WindowError,
@@ -28,7 +29,7 @@ from .gates import (
     GateKind,
     ProgramStepError,
     apply_gate,
-    iterate_plus,
+    repeat_plus,
 )
 from .logic import OP_NAMES, DisagreementError, truth_table_text
 from .states import Ket, check_int_text
@@ -106,7 +107,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     if args.repeat != 1 and kind is not GateKind.PLUS:
         raise ValueError("--repeat is only meaningful for the plus gate")
     if kind is GateKind.PLUS and args.repeat != 1:
-        out = iterate_plus(state, args.repeat, (0, 1) if roles is None else roles)
+        out = repeat_plus(state, args.repeat, (0, 1) if roles is None else roles)
     else:
         out = apply_gate(state, kind, roles)
     print(out.to_json())
@@ -202,7 +203,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """Flags that evolve and verify both read; explicit flags win over the file."""
     parser.add_argument("--config", metavar="FILE", help="JSON config file")
-    parser.add_argument("--dim", "-D", type=int, help=f"ring size (even, >= {MIN_DIM})")
+    parser.add_argument("--dim", "-D", type=int, help=f"ring size (even, {MIN_DIM}..{MAX_DIM})")
     parser.add_argument("--epsilon", type=float, help="fidelity threshold margin")
     parser.add_argument("--t-max", dest="t_max", type=float, help="trace horizon")
 

@@ -155,13 +155,37 @@ def apply_times(
     return state._map_labels(_label_map(mode, roles))
 
 
-def iterate_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
-    """Apply the adder ``count`` times (count >= 0)."""
+def _check_count(count: object) -> None:
     if not isinstance(count, int) or isinstance(count, bool) or count < 0:
         raise ValueError(f"iteration count must be a non-negative integer, got {count!r}")
+
+
+def iterate_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
+    """Apply the adder ``count`` times (count >= 0), one gate pass per time."""
+    _check_count(count)
     for _ in range(count):
         state = apply_plus(state, roles)
     return state
+
+
+def repeat_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
+    """``iterate_plus`` in one pass: (..n.., ..m..) -> (..n.., ..m + count*n..).
+
+    Checks and errors are the loop's: the count first, then the roles,
+    which a count of 0 never reaches.
+    """
+    _check_count(count)
+    if count == 0:
+        return state
+    _check_roles(state.registers, GateKind.PLUS, roles)
+    s, t = roles
+
+    def fn(key: tuple[int, ...]) -> tuple[int, ...]:
+        new = list(key)
+        new[t] = key[t] + count * key[s]
+        return tuple(new)
+
+    return state._map_labels(fn)
 
 
 def apply_gate(state: Ket, kind: GateKind, roles: tuple[int, ...] | None = None) -> Ket:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 
@@ -42,11 +42,21 @@ class FreeVar:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     op: BinOp
     left: "Term"
     right: "Term"
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # The same value the dataclass hash gives, but computed once, from
+        # the children's stored hashes: lru_cache lookups keyed on a term
+        # then cost O(1) instead of a walk over the whole tree.
+        object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Term = FreeVar | Node

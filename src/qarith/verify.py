@@ -449,8 +449,7 @@ def check_pulse_freeze(config: Config, rng: np.random.Generator) -> CheckResult:
 
 # --- stopping times ----------------------------------------------------------
 
-# Grid pinned for stopping-time checks: wide enough that one grid step
-# exceeds the fidelity threshold crossing width for every |n| >= 1.
+# Grid pinned for stopping-time checks, reaching well past the pulse.
 STOP_T_MAX = 4.0
 STOP_SAMPLES = 200
 
@@ -491,12 +490,14 @@ def check_trace_bookkeeping(config: Config, rng: np.random.Generator) -> CheckRe
 
 def check_stop_near_unit(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
-    grid = STOP_T_MAX / (STOP_SAMPLES - 1)
     problems = []
     count = 0
     for n in range(-_stop_n_max(config), _stop_n_max(config) + 1):
         if n == 0:
             continue
+        expected = dynamics.closed_form_stopping_time(
+            model, n, config.epsilon, STOP_T_MAX, STOP_SAMPLES
+        )
         for m in (0, 3, -3):
             if abs(n) + abs(m) >= model.half:
                 continue
@@ -506,13 +507,15 @@ def check_stop_near_unit(config: Config, rng: np.random.Generator) -> CheckResul
             count += 1
             if trace.stopping_time is None:
                 problems.append(f"no stopping time for ({n},{m})")
-            elif abs(trace.stopping_time - dynamics.GATE_TIME) > grid:
-                problems.append(f"T({n},{m})={trace.stopping_time:.4f}")
+            elif trace.stopping_time != expected:
+                problems.append(f"T({n},{m})={trace.stopping_time:.4f}, expected {expected:.4f}")
     ok = not problems
     return CheckResult(
         "stop_near_unit",
         ok,
-        "; ".join(problems[:4]) if problems else f"{count} runs within one grid step of 1",
+        "; ".join(problems[:4])
+        if problems
+        else f"{count} runs stop at the first grid time past the fidelity crossing",
     )
 
 

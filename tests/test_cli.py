@@ -5,14 +5,22 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
 from qarith import cli, logic
 from qarith.cli import main
 from qarith.config import Config
-from qarith.dynamics import MAX_SAMPLES, build_model, detect_stopping_time, evolve_numeric
-from qarith.gates import GateDomainError, GateKind, GateStep, ProgramStepError
+from qarith.dynamics import (
+    MAX_DIM,
+    MAX_SAMPLES,
+    build_model,
+    detect_stopping_time,
+    evolve_numeric,
+)
+from qarith.gates import GateDomainError, GateKind, GateStep, ProgramStepError, iterate_plus
+from qarith.states import Ket
 from qarith.terms import MAX_TERM_DEPTH, bijection_report, cumulative_size
 
 
@@ -45,6 +53,43 @@ def test_apply_roles_and_repeat(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["terms"][0]["labels"] == [11, 4]
+
+
+MIXED = {
+    "registers": 3,
+    "terms": [
+        {"labels": [3, 5, -1], "re": 0.6, "im": 0.0},
+        {"labels": [-2, 1, 10**40], "re": 0.0, "im": 0.48},
+        {"labels": [0, -7, 4], "re": 0.64, "im": 0.0},
+    ],
+}
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7])
+@pytest.mark.parametrize("roles", [None, "2,0"])
+def test_apply_repeat_matches_iterated_adder(tmp_path, capsys, count, roles):
+    path = write_state(tmp_path, "s.json", MIXED)
+    argv = ["apply", "plus", path, "--repeat", str(count)]
+    if roles is not None:
+        argv += ["--roles", roles]
+    code, out, err = run_cli(capsys, *argv)
+    want = iterate_plus(
+        Ket.from_json(json.dumps(MIXED)), count, (0, 1) if roles is None else (2, 0)
+    )
+    assert (code, err) == (0, "")
+    assert out == want.to_json() + "\n"
+
+
+def test_apply_repeat_takes_one_pass(tmp_path, capsys):
+    path = write_state(tmp_path, "s.json", MIXED)
+    count = 1_000_000_000
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "apply", "plus", path, "--repeat", str(count))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert [t["labels"] for t in json.loads(out)["terms"]] == sorted(
+        [n, m + count * n, r] for (n, m, r) in (t["labels"] for t in MIXED["terms"])
+    )
 
 
 def test_apply_strict_zero_exits_3(tmp_path, capsys):
@@ -162,6 +207,7 @@ def test_mistyped_config_exits_2(tmp_path, capsys, doc):
     "field,flag,value,layer",
     [
         ("dim", "-D", 7, lambda: build_model(7)),
+        ("dim", "-D", MAX_DIM + 2, lambda: build_model(MAX_DIM + 2)),
         ("dt", "--dt", 0.02, lambda: evolve_numeric(build_model(32), 2, 3, 1.0, 0.02)),
         ("epsilon", "--epsilon", 0.5,
          lambda: detect_stopping_time(build_model(32), 2, 3, 0.5, 1.5)),
@@ -172,7 +218,7 @@ def test_mistyped_config_exits_2(tmp_path, capsys, doc):
         (None, "--samples", MAX_SAMPLES + 1,
          lambda: detect_stopping_time(build_model(32), 2, 3, 1e-3, 1.5, MAX_SAMPLES + 1)),
     ],
-    ids=["dim", "dt", "epsilon", "t_max", "class_bound", "samples"],
+    ids=["dim", "dim-max", "dt", "epsilon", "t_max", "class_bound", "samples"],
 )
 def test_out_of_range_bound_rejected_alike(capsys, field, flag, value, layer):
     with pytest.raises(ValueError) as from_layer:
@@ -186,6 +232,13 @@ def test_out_of_range_bound_rejected_alike(capsys, field, flag, value, layer):
         assert str(from_config.value) == str(from_layer.value)
     code, _, err = run_cli(capsys, *command, flag, str(value))
     assert (code, err) == (2, f"error: {from_layer.value}\n")
+
+
+def test_largest_ring_accepted(capsys):
+    code, out, err = run_cli(capsys, "evolve", "2", "3", "-D", str(MAX_DIM), "--samples", "2")
+    assert code == 0
+    assert json.loads(err)["D"] == MAX_DIM
+    assert out.startswith("t,fidelity,leakage\n")
 
 
 def test_enumerate_lists_class1(capsys):
@@ -352,6 +405,16 @@ def test_verify_dynamics_on_small_rings(capsys, dim):
     # The smallest rings the CLI accepts leave no room for the pair (2, 3).
     code, out, err = run_cli(capsys, "verify", "dynamics", "-D", dim)
     assert code == 0, err
+    assert json.loads(out)["ok"] is True
+
+
+def test_verify_stopping_at_wide_epsilon(capsys):
+    # At epsilon = 0.01 the fidelity crosses 1 - epsilon more than one grid
+    # step before t = 1 for small |n|; the stopping times are still right.
+    code, out, err = run_cli(
+        capsys, "verify", "stopping", "-D", "512", "--t-max", "3.0", "--epsilon", "0.01"
+    )
+    assert (code, err) == (0, "")
     assert json.loads(out)["ok"] is True
 
 

@@ -16,10 +16,12 @@ from scipy.linalg import expm
 from qarith.dynamics import (
     GATE_TIME,
     MAX_SAMPLES,
+    MAX_STEP_PHASE,
     TRACE_BLOCK,
     HamiltonianModel,
     WindowError,
     build_model,
+    closed_form_stopping_time,
     detect_stopping_time,
     evolve_exact,
     evolve_numeric,
@@ -248,6 +250,89 @@ def test_numeric_with_free_terms():
     assert approx.distance(exact) <= 1e-6
 
 
+def reference_rk4(model, n, m, t, dt):
+    """evolve_numeric's pulse-then-free RK4 as an explicit loop of k1..k4 steps."""
+
+    def segment(h_matrix, psi, duration, max_step):
+        if duration <= 0.0:
+            return psi
+        steps = max(1, math.ceil(duration / max_step))
+        h = duration / steps
+
+        def deriv(v):
+            return -1j * (h_matrix @ v)
+
+        for _ in range(steps):
+            k1 = deriv(psi)
+            k2 = deriv(psi + 0.5 * h * k1)
+            k3 = deriv(psi + 0.5 * h * k2)
+            k4 = deriv(psi + h * k3)
+            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return psi
+
+    c = model.coupling_value(n)
+    ea = model.energy_a_value(n)
+    h_free = (np.diag(model.ring_energies) + ea * np.eye(model.dim)) / model.hbar
+    h_on = h_free + c * model.shift_generator / model.hbar
+    t_on = min(t, GATE_TIME)
+
+    def max_step(rate):
+        return dt if rate <= 0.0 else min(dt, MAX_STEP_PHASE / rate)
+
+    free_rate = (float(np.max(np.abs(model.ring_energies))) + abs(ea)) / model.hbar
+    on_rate = free_rate + abs(c) * math.pi / model.hbar
+    psi = np.zeros(model.dim, dtype=complex)
+    psi[model.ring_index(m)] = 1.0
+    psi = segment(h_on, psi, t_on, max_step(on_rate))
+    return segment(h_free, psi, t - t_on, max_step(free_rate))
+
+
+@pytest.mark.parametrize(
+    "dim,n,m,t,free_terms",
+    [
+        (32, 2, 3, 0.5, False),
+        (32, -4, 1, 1.0, False),
+        (32, 15, 0, 0.7, False),
+        (32, 1, 14, 1.0, False),
+        (32, -9, -6, 1.4, False),  # t > 1: pulse and free segments
+        (16, 3, 1, 1.3, True),
+        (16, -2, 5, 0.6, True),
+    ],
+)
+def test_numeric_matches_reference_step_loop(dim, n, m, t, free_terms):
+    extra = {"energy_a": {n: 0.4}, "energy_b": {1: 0.9, -2: -0.5}} if free_terms else {}
+    model = build_model(dim, **extra)
+    got = dense_ring(model, evolve_numeric(model, n, m, t, 0.005), n)
+    want = reference_rk4(model, n, m, t, 0.005)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_numeric_step_count(monkeypatch):
+    # Step counts still come from MAX_STEP_PHASE and dt: the pulse of n = 15
+    # is limited by its phase rate, the free segment by dt, and a free term
+    # raises the free segment's rate past 0.02 / dt.
+    powers = []
+    real = np.linalg.matrix_power
+
+    def spy(matrix, exponent):
+        powers.append(exponent)
+        return real(matrix, exponent)
+
+    monkeypatch.setattr(np.linalg, "matrix_power", spy)
+    evolve_numeric(build_model(32), 15, 0, 1.4, 0.005)
+    assert powers == [math.ceil(1.0 / (MAX_STEP_PHASE / (15 * math.pi))), 80]
+    powers.clear()
+    evolve_numeric(build_model(16, energy_a={3: 2.0}, energy_b={1: 5.0}), 3, 1, 1.5, 0.01)
+    free_rate = 5.0 + 2.0
+    assert powers == [
+        math.ceil(1.0 / (MAX_STEP_PHASE / (free_rate + 3 * math.pi))),
+        math.ceil(0.5 / (MAX_STEP_PHASE / free_rate)),
+    ]
+    powers.clear()
+    evolve_numeric(build_model(32), 1, 3, 0.3, 0.005)
+    assert powers == [60]  # dt-limited pulse, no free segment
+
+
 def test_subsystem_consistency_example():
     model = build_model(32)
     pair = evolve_exact(model, 3, 1, 0.7)
@@ -288,6 +373,42 @@ def test_free_term_trace_matches_expm_oracle():
         probs = np.abs(oracle_ring(model, 2, 3, t)) ** 2
         assert abs(fid - probs[tidx]) <= 1e-12, t
         assert abs(leak - (probs.sum() - probs[tidx])) <= 1e-12, t
+
+
+@pytest.mark.parametrize("dim", [8, 32, 512])
+@pytest.mark.parametrize("epsilon", [1e-3, 0.01, 0.3])
+def test_closed_form_stopping_time_matches_traces(dim, epsilon):
+    model = build_model(dim, energy_a={1: 0.5})  # a control phase changes nothing
+    for n in range(-min(6, dim // 2 - 1), min(6, dim // 2 - 1) + 1):
+        want = closed_form_stopping_time(model, n, epsilon, 3.0, 200)
+        for m in {0, dim // 2 - 1 - abs(n)}:
+            assert detect_stopping_time(model, n, m, epsilon, 3.0, 200).stopping_time == want
+        if n == 0:
+            assert want == 0.0
+        else:
+            assert 1.0 - 1.0 / abs(n) < want <= 1.0 + 3.0 / 199
+
+
+def test_closed_form_stopping_time_edges():
+    model = build_model(32)
+    # the grid can end before the crossing
+    assert closed_form_stopping_time(model, 3, 1e-3, 0.9, 50) is None
+    assert detect_stopping_time(model, 3, 0, 1e-3, 0.9, 50).stopping_time is None
+    # a pulse that still lands on n + m: coupling n * hbar
+    slow = build_model(32, hbar=2.0, coupling={k: 2.0 * k for k in range(-16, 17)})
+    assert closed_form_stopping_time(slow, 3, 0.01, 2.0) == closed_form_stopping_time(
+        model, 3, 0.01, 2.0
+    )
+    assert detect_stopping_time(slow, 3, 1, 0.01, 2.0).stopping_time == (
+        closed_form_stopping_time(slow, 3, 0.01, 2.0)
+    )
+    for other in (build_model(32, energy_b={0: 0.1}), build_model(32, coupling={3: 3.5})):
+        with pytest.raises(ValueError, match="closed-form stopping time"):
+            closed_form_stopping_time(other, 3, 1e-3, 1.5)
+    with pytest.raises(WindowError):
+        closed_form_stopping_time(model, 16, 1e-3, 1.5)
+    with pytest.raises(ValueError):
+        closed_form_stopping_time(model, 3, 0.5, 1.5)
 
 
 def test_stopping_time_near_unit():

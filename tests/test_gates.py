@@ -26,6 +26,7 @@ from qarith.gates import (
     apply_plus,
     apply_times,
     iterate_plus,
+    repeat_plus,
     run_basis,
     run_program,
 )
@@ -85,6 +86,28 @@ def test_iterate_validation():
     with pytest.raises(ValueError, match="iteration count must be a non-negative integer"):
         iterate_plus(basis_ket(1, 1), True)
     assert iterate_plus(basis_ket(5, 7), 0) == basis_ket(5, 7)
+
+
+def test_repeat_plus_matches_the_loop():
+    state = superposition(
+        {(3, 5, -1): 0.6, (-2, 1, 10**40): 0.48j, (0, -7, 4): 0.64}
+    )
+    for roles in ((0, 1), (2, 0), (1, 2)):
+        for count in (0, 1, 2, 7):
+            assert list(repeat_plus(state, count, roles).items()) == list(
+                iterate_plus(state, count, roles).items()
+            )
+    # same errors, checked in the same order: count first, then roles,
+    # which a count of 0 never reaches
+    for count, roles in ((-1, (0, 1)), (True, (5, 6)), (1.0, (0, 1)), (3, (0, 0)),
+                         (3, (0, 3)), (3, (0, 1, 2)), (0, (5, 6))):
+        outcomes = []
+        for fn in (repeat_plus, iterate_plus):
+            try:
+                outcomes.append(list(fn(state, count, roles).items()))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], (count, roles)
 
 
 def test_strict_times_rejects_zero_source():

@@ -154,6 +154,34 @@ def test_equal_valued_terms_stay_distinct():
         assert evaluate_oracle(left, args) == evaluate_oracle(right, args)
 
 
+def test_equal_terms_share_one_cache_entry():
+    # Built node by node, apart from term_of's cache: equal trees, distinct
+    # objects.  Each hash is stored at construction and equals the hash of
+    # the (op, left, right) tuple the dataclass would compute.
+    def build(depth):
+        if depth == 0:
+            return ELEM_PLUS
+        return node(T, build(depth - 1), node(P, FREE, build(depth - 1)))
+
+    first, second = build(4), build(4)
+    assert first is not second and first.left is not second.left
+    assert first == second and hash(first) == hash(second)
+    assert hash(first) == hash((first.op, first.left, first.right))
+    assert first != node(P, first.left, first.right)
+    assert repr(ELEM_PLUS) == "Node(op=<BinOp.PLUS: 1>, left=FreeVar(), right=FreeVar())"
+    compile_term.cache_clear()
+    compiled = compile_term(first)
+    assert compile_term(second) is compiled
+    info = compile_term.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert index_of(second) == index_of(first)
+    # hashing never walks the tree, so it works far below the recursion limit
+    deep = FREE
+    for _ in range(5000):
+        deep = node(P, deep, FREE)
+    assert hash(deep) == hash((P, deep.left, FREE))
+
+
 def test_compiled_structure():
     compiled = compile_term(term_of(7))
     assert compiled.arity == 4

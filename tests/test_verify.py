@@ -5,14 +5,23 @@ exactly as the command line does; each check then becomes its own test
 case, named after its function, that prints the check's detail.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qarith import gates
+from qarith import dynamics, gates
 from qarith.config import Config
 from qarith.states import Ket
 from qarith.terms import compile_term, cumulative_size, term_of
-from qarith.verify import SUITES, church_sweep, run_suite
+from qarith.verify import (
+    STOP_SAMPLES,
+    STOP_T_MAX,
+    SUITES,
+    check_stop_near_unit,
+    church_sweep,
+    run_suite,
+)
 
 CHECKS = SUITES["all"]
 
@@ -63,3 +72,27 @@ def test_church_sweep_checks_the_ket_route(monkeypatch, bumped):
     report = run_suite("church", Config(class_bound=1), seed=0)
     assert report["ok"] is False
     assert "ket_route" in report["checks"][0]["detail"]
+
+
+@pytest.mark.parametrize("pair", [(1, 0), (4, -3)])
+@pytest.mark.parametrize("steps", [-2, -1, 1, 2, None])
+def test_stop_check_rejects_a_shifted_trace(monkeypatch, pair, steps):
+    # One run's stopping time moved by whole grid steps (or lost) must fail
+    # the check at the default epsilon, including every shift the earlier
+    # rule "within one grid step of t = 1" caught.
+    grid = STOP_T_MAX / (STOP_SAMPLES - 1)
+    real = dynamics.detect_stopping_time
+
+    def shifted(model, n, m, *rest):
+        trace = real(model, n, m, *rest)
+        if (n, m) != pair:
+            return trace
+        stop = None if steps is None else trace.stopping_time + steps * grid
+        return dataclasses.replace(trace, stopping_time=stop)
+
+    config = Config()
+    assert check_stop_near_unit(config, np.random.default_rng(0)).ok
+    monkeypatch.setattr(dynamics, "detect_stopping_time", shifted)
+    result = check_stop_near_unit(config, np.random.default_rng(0))
+    assert not result.ok
+    assert f"({pair[0]},{pair[1]})" in result.detail
