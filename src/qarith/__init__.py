@@ -4,22 +4,15 @@ The computational basis is labeled by integers, states are finite
 superpositions, and the two arithmetic gates (adder and multiplier) act
 by rewriting labels.  On top of that sit a time-resolved model of the
 adder, a boolean layer, and an indexed algebra of composed operations.
+
+Only that model needs numpy.  Its names (``build_model``,
+``evolve_exact``, ...) are looked up in ``qarith.dynamics`` when first
+read, so ``import qarith`` does not load numpy.
 """
 
-from .config import Config
-from .dynamics import (
-    GATE_TIME,
-    EvolutionTrace,
-    HamiltonianModel,
-    SuperadditivityRow,
-    WindowError,
-    build_model,
-    detect_stopping_time,
-    evolve_exact,
-    evolve_numeric,
-    subsystem_evolve,
-    superadditivity_table,
-)
+import importlib
+
+from .config import Config, WindowError
 from .gates import (
     AncillaError,
     ArityError,
@@ -130,3 +123,32 @@ __all__ = [
     "render_term",
     "term_of",
 ]
+
+# Names read from .dynamics on first access (PEP 562), so that importing
+# the package does not import numpy.  ``qarith.dynamics`` itself also
+# resolves without an explicit import.
+_DYNAMICS_NAMES = frozenset({
+    "GATE_TIME",
+    "EvolutionTrace",
+    "HamiltonianModel",
+    "SuperadditivityRow",
+    "build_model",
+    "detect_stopping_time",
+    "evolve_exact",
+    "evolve_numeric",
+    "subsystem_evolve",
+    "superadditivity_table",
+})
+
+
+def __getattr__(name: str):
+    if name == "dynamics" or name in _DYNAMICS_NAMES:
+        # import_module, not ``from . import``: that would look the
+        # attribute up on this package and land here again.
+        dynamics = importlib.import_module(".dynamics", __name__)
+        return dynamics if name == "dynamics" else getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

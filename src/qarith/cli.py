@@ -13,15 +13,14 @@ import re
 import sys
 from pathlib import Path
 
-from .config import Config
-from .dynamics import (
+from .config import (
     MAX_DIM,
     MAX_SAMPLES,
     MIN_DIM,
+    SUITE_NAMES,
+    Config,
     WindowError,
-    build_model,
     check_samples,
-    detect_stopping_time,
 )
 from .gates import (
     AncillaError,
@@ -45,7 +44,6 @@ from .terms import (
     render_term,
     term_of,
 )
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -115,6 +113,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    # Imported here, not at the top: dynamics loads numpy, which only
+    # evolve and verify need.
+    from .dynamics import build_model, detect_stopping_time
+
     check_samples(args.samples)
     config = _config_from_args(args)
     model = build_model(config.dim)
@@ -194,6 +196,8 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_suite
+
     config = _config_from_args(args)
     report = run_suite(args.suite, config, args.seed)
     print(json.dumps(report, indent=2))
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_truth_table)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=sorted((*SUITE_NAMES, "all")))
     p.add_argument("--seed", type=int, default=0)
     _add_config_flags(p)
     p.add_argument("--dt", type=float, help="integrator step bound")

@@ -1,14 +1,92 @@
-"""Runtime configuration shared by ``evolve`` and ``verify``."""
+"""Runtime configuration shared by ``evolve`` and ``verify``, and its bounds.
+
+Every bound on a dynamics knob (ring size, integrator step, threshold,
+horizon, grid size) and the ring-window error live here, not in
+``dynamics``, which imports them back.  This module needs no numpy, so
+the commands that never propagate a state (``apply``, ``eval``,
+``show``, ``enumerate``, ``truth-table``) start without loading it.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dynamics import check_dim, check_dt, check_epsilon, check_t_max
 from .terms import check_class_bound
+
+MIN_DIM = 8
+# Largest ring.  RK4 works on dense D x D matrices, so its cost grows as
+# D^3: `qarith verify all -D 1024` took about 90 s and 200 MB on a
+# 2-vCPU machine, and D = 2048 would take about eight times as long.
+MAX_DIM = 1024
+MAX_DT = 0.01
+MAX_SAMPLES = 100_000
+
+# The verification suites, in the order ``verify all`` runs them.
+SUITE_NAMES = (
+    "hilbert", "gates", "dynamics", "stopping", "logic", "termalg", "bijection", "church",
+)
+
+
+def check_number(value: object, name: str) -> float:
+    """``value`` as a float; booleans and non-numbers raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_dim(dim: object) -> None:
+    """Ring size: an even integer in [MIN_DIM, MAX_DIM]."""
+    if not isinstance(dim, int) or isinstance(dim, bool) or not (
+        MIN_DIM <= dim <= MAX_DIM
+    ) or dim % 2:
+        raise ValueError(
+            f"ring size D must be an even integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}"
+        )
+
+
+def check_dt(dt: object) -> None:
+    """Integrator step bound, in (0, MAX_DT]."""
+    if not (0.0 < check_number(dt, "dt") <= MAX_DT):
+        raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
+
+
+def check_epsilon(epsilon: object) -> None:
+    """Stopping-time threshold margin, in (0, 0.5)."""
+    if not (0.0 < check_number(epsilon, "epsilon") < 0.5):
+        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
+
+
+def check_samples(samples: object) -> None:
+    """Trace grid size: an integer in [2, MAX_SAMPLES]."""
+    if not isinstance(samples, int) or isinstance(samples, bool) or not (
+        2 <= samples <= MAX_SAMPLES
+    ):
+        raise ValueError(f"samples must be an integer in [2, {MAX_SAMPLES}], got {samples!r}")
+
+
+def check_t_max(t_max: object) -> None:
+    """Trace horizon: positive and finite."""
+    value = check_number(t_max, "t_max")
+    if not (value > 0.0) or not math.isfinite(value):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+
+
+class WindowError(ValueError):
+    """Labels too large for the ring: sums would wrap around."""
+
+    def __init__(self, n: int, m: int, dim: int):
+        self.n = n
+        self.m = m
+        self.dim = dim
+        super().__init__(
+            f"|{n}| + |{m}| = {abs(n) + abs(m)} must stay below {dim // 2} "
+            f"on a ring of {dim} labels"
+        )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ away from the wrap-around point of the ring.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,6 +22,19 @@ from typing import ClassVar
 
 import numpy as np
 
+from .config import (  # noqa: F401  (the bounds stay importable from here)
+    MAX_DIM,
+    MAX_DT,
+    MAX_SAMPLES,
+    MIN_DIM,
+    WindowError,
+    check_dim,
+    check_dt,
+    check_epsilon,
+    check_number,
+    check_samples,
+    check_t_max,
+)
 from .states import PRUNE_EPS_SQ, Ket
 
 # Duration of the coupling pulse; one pulse advances the ring by the
@@ -33,14 +45,6 @@ GATE_TIME = 1.0
 # of the fastest eigenmode by at most this many radians.
 MAX_STEP_PHASE = 0.02
 
-MIN_DIM = 8
-# Largest ring.  RK4 works on dense D x D matrices, so its cost grows as
-# D^3: `qarith verify all -D 1024` took about 90 s and 200 MB on a
-# 2-vCPU machine, and D = 2048 would take about eight times as long.
-MAX_DIM = 1024
-MAX_DT = 0.01
-MAX_SAMPLES = 100_000
-
 # A stopping-time trace evaluates its time grid in row blocks of at most
 # this many amplitudes (one row when a row is longer), so its memory stays
 # bounded for any grid and ring.  Blocks this small keep the kernel's
@@ -50,63 +54,6 @@ TRACE_BLOCK = 1 << 15
 
 # Ring offsets d closer than this to zero get kernel value exactly 1.
 _KERNEL_FLAT = 1e-9
-
-
-def check_number(value: object, name: str) -> float:
-    """``value`` as a float; booleans and non-numbers raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def check_dim(dim: object) -> None:
-    """Ring size: an even integer in [MIN_DIM, MAX_DIM]."""
-    if not isinstance(dim, int) or isinstance(dim, bool) or not (
-        MIN_DIM <= dim <= MAX_DIM
-    ) or dim % 2:
-        raise ValueError(
-            f"ring size D must be an even integer in [{MIN_DIM}, {MAX_DIM}], got {dim!r}"
-        )
-
-
-def check_dt(dt: object) -> None:
-    """Integrator step bound, in (0, MAX_DT]."""
-    if not (0.0 < check_number(dt, "dt") <= MAX_DT):
-        raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
-
-
-def check_epsilon(epsilon: object) -> None:
-    """Stopping-time threshold margin, in (0, 0.5)."""
-    if not (0.0 < check_number(epsilon, "epsilon") < 0.5):
-        raise ValueError(f"epsilon must lie in (0, 0.5), got {epsilon!r}")
-
-
-def check_samples(samples: object) -> None:
-    """Trace grid size: an integer in [2, MAX_SAMPLES]."""
-    if not isinstance(samples, int) or isinstance(samples, bool) or not (
-        2 <= samples <= MAX_SAMPLES
-    ):
-        raise ValueError(f"samples must be an integer in [2, {MAX_SAMPLES}], got {samples!r}")
-
-
-def check_t_max(t_max: object) -> None:
-    """Trace horizon: positive and finite."""
-    value = check_number(t_max, "t_max")
-    if not (value > 0.0) or not math.isfinite(value):
-        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-
-
-class WindowError(ValueError):
-    """Labels too large for the ring: sums would wrap around."""
-
-    def __init__(self, n: int, m: int, dim: int):
-        self.n = n
-        self.m = m
-        self.dim = dim
-        super().__init__(
-            f"|{n}| + |{m}| = {abs(n) + abs(m)} must stay below {dim // 2} "
-            f"on a ring of {dim} labels"
-        )
 
 
 @dataclass(frozen=True)
@@ -343,7 +290,10 @@ def evolve_numeric(
     on_rate = free_rate + abs(c) * math.pi / model.hbar
     psi = _ring_start(model, m)
     psi = _rk4_segment(h_on, psi, t_on, max_step(on_rate))
-    psi = _rk4_segment(h_free, psi, t_free, max_step(free_rate))
+    # With no free term (the default model) the state is frozen after the
+    # pulse, and RK4 by a zero H is the identity.
+    if h_free.any():
+        psi = _rk4_segment(h_free, psi, t_free, max_step(free_rate))
     return _ring_ket(model, psi, (n,))
 
 

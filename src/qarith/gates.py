@@ -163,6 +163,7 @@ def _check_count(count: object) -> None:
 def iterate_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
     """Apply the adder ``count`` times (count >= 0), one gate pass per time."""
     _check_count(count)
+    _check_roles(state.registers, GateKind.PLUS, roles)
     for _ in range(count):
         state = apply_plus(state, roles)
     return state
@@ -172,12 +173,12 @@ def repeat_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
     """``iterate_plus`` in one pass: (..n.., ..m..) -> (..n.., ..m + count*n..).
 
     Checks and errors are the loop's: the count first, then the roles,
-    which a count of 0 never reaches.
+    also for a count of 0.
     """
     _check_count(count)
+    _check_roles(state.registers, GateKind.PLUS, roles)
     if count == 0:
         return state
-    _check_roles(state.registers, GateKind.PLUS, roles)
     s, t = roles
 
     def fn(key: tuple[int, ...]) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics, gates, logic, terms
-from .config import Config
+from .config import SUITE_NAMES, Config
 from .states import Ket, ZeroNormError, basis_ket, superposition
 
 
@@ -870,11 +870,7 @@ SUITES: dict[str, tuple] = {
     "church": (check_church_correspondence,),
 }
 
-SUITES["all"] = tuple(
-    fn
-    for name in ("hilbert", "gates", "dynamics", "stopping", "logic", "termalg", "bijection", "church")
-    for fn in SUITES[name]
-)
+SUITES["all"] = tuple(fn for name in SUITE_NAMES for fn in SUITES[name])
 
 
 def run_suite(name: str, config: Config, seed: int = 0) -> dict:

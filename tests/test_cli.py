@@ -55,6 +55,15 @@ def test_apply_roles_and_repeat(tmp_path, capsys):
     assert doc["terms"][0]["labels"] == [11, 4]
 
 
+@pytest.mark.parametrize("repeat", [[], ["--repeat", "0"], ["--repeat", "3"]])
+def test_apply_roles_checked_for_any_repeat(tmp_path, capsys, repeat):
+    # A count of 0 once returned the state without looking at the roles.
+    path = write_state(tmp_path, "s.json", PAIR)
+    code, out, err = run_cli(capsys, "apply", "plus", path, "--roles", "5,6", *repeat)
+    assert (code, out) == (2, "")
+    assert err == "error: role 5 out of range for a 2-register state\n"
+
+
 MIXED = {
     "registers": 3,
     "terms": [

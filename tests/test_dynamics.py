@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qarith import dynamics
 from qarith.dynamics import (
     GATE_TIME,
     MAX_SAMPLES,
@@ -307,10 +308,8 @@ def test_numeric_matches_reference_step_loop(dim, n, m, t, free_terms):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_numeric_step_count(monkeypatch):
-    # Step counts still come from MAX_STEP_PHASE and dt: the pulse of n = 15
-    # is limited by its phase rate, the free segment by dt, and a free term
-    # raises the free segment's rate past 0.02 / dt.
+def spy_powers(monkeypatch):
+    """The exponents evolve_numeric raises its RK4 step matrices to, in order."""
     powers = []
     real = np.linalg.matrix_power
 
@@ -319,8 +318,19 @@ def test_numeric_step_count(monkeypatch):
         return real(matrix, exponent)
 
     monkeypatch.setattr(np.linalg, "matrix_power", spy)
+    return powers
+
+
+def test_numeric_step_count(monkeypatch):
+    # Step counts still come from MAX_STEP_PHASE and dt: the pulse of n = 15
+    # is limited by its phase rate, a slow free term's segment by dt, and a
+    # fast free term raises the free segment's rate past 0.02 / dt.
+    powers = spy_powers(monkeypatch)
     evolve_numeric(build_model(32), 15, 0, 1.4, 0.005)
-    assert powers == [math.ceil(1.0 / (MAX_STEP_PHASE / (15 * math.pi))), 80]
+    assert powers == [math.ceil(1.0 / (MAX_STEP_PHASE / (15 * math.pi)))]  # no free term
+    powers.clear()
+    evolve_numeric(build_model(32, energy_a={15: 0.5}), 15, 0, 1.4, 0.005)
+    assert powers == [math.ceil(1.0 / (MAX_STEP_PHASE / (0.5 + 15 * math.pi))), 80]
     powers.clear()
     evolve_numeric(build_model(16, energy_a={3: 2.0}, energy_b={1: 5.0}), 3, 1, 1.5, 0.01)
     free_rate = 5.0 + 2.0
@@ -331,6 +341,36 @@ def test_numeric_step_count(monkeypatch):
     powers.clear()
     evolve_numeric(build_model(32), 1, 3, 0.3, 0.005)
     assert powers == [60]  # dt-limited pulse, no free segment
+
+
+def test_frozen_free_segment_skipped_exactly(monkeypatch):
+    # With no free term RK4 after the pulse multiplies by the identity;
+    # skipping that segment must leave the very same amplitudes.
+    model = build_model(64)
+    pulses = []
+    real = dynamics._rk4_segment
+
+    def spy(h_matrix, psi, duration, max_step):
+        pulses.append(real(h_matrix, psi, duration, max_step))
+        return pulses[-1]
+
+    monkeypatch.setattr(dynamics, "_rk4_segment", spy)
+    got = evolve_numeric(model, 2, 3, 1.4, 0.005)
+    assert len(pulses) == 1
+    frozen = real(np.zeros((model.dim, model.dim)), pulses[0], 0.4, 0.005)
+    assert list(got.items()) == list(dynamics._ring_ket(model, frozen, (2,)).items())
+    assert list(got.items()) == list(evolve_numeric(model, 2, 3, 1.0, 0.005).items())
+
+
+@pytest.mark.parametrize(
+    "free_terms", [{"energy_a": {2: 0.7}}, {"energy_b": {4: -1.1}}], ids=["energy_a", "energy_b"]
+)
+def test_free_segment_runs_with_a_free_term(monkeypatch, free_terms):
+    model = build_model(16, **free_terms)
+    powers = spy_powers(monkeypatch)
+    got = evolve_numeric(model, 2, 3, 1.4, 0.005)
+    assert len(powers) == 2
+    assert got.distance(evolve_exact(model, 2, 3, 1.4)) <= 1e-6
 
 
 def test_subsystem_consistency_example():

@@ -86,6 +86,9 @@ def test_iterate_validation():
     with pytest.raises(ValueError, match="iteration count must be a non-negative integer"):
         iterate_plus(basis_ket(1, 1), True)
     assert iterate_plus(basis_ket(5, 7), 0) == basis_ket(5, 7)
+    for fn in (iterate_plus, repeat_plus):
+        with pytest.raises(ValueError, match="role 5 out of range for a 2-register state"):
+            fn(basis_ket(5, 7), 0, (5, 6))
 
 
 def test_repeat_plus_matches_the_loop():
@@ -98,7 +101,7 @@ def test_repeat_plus_matches_the_loop():
                 iterate_plus(state, count, roles).items()
             )
     # same errors, checked in the same order: count first, then roles,
-    # which a count of 0 never reaches
+    # also for a count of 0
     for count, roles in ((-1, (0, 1)), (True, (5, 6)), (1.0, (0, 1)), (3, (0, 0)),
                          (3, (0, 3)), (3, (0, 1, 2)), (0, (5, 6))):
         outcomes = []

@@ -5,12 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qarith import gates
 from qarith.logic import eval_with_gates
 from qarith.states import Ket
 from qarith.terms import (
     FREE,
+    MAX_TERM_DEPTH,
     ArityError,
     BinOp,
     Node,
@@ -20,6 +23,7 @@ from qarith.terms import (
     class_of,
     class_size,
     compile_term,
+    cumulative_size,
     decompose_index,
     enumerate_class,
     evaluate_gates,
@@ -127,6 +131,17 @@ def test_parse_prefix_and_infix():
 @pytest.mark.parametrize("delta", [0, 1, 2, 5, 7, 18, 100, 722, 723, 5000, 10000])
 def test_render_parse_roundtrip(delta):
     term = term_of(delta)
+    assert parse_term(render_term(term)) == term
+    assert parse_term(render_infix(term)) == term
+
+
+# Indices of class <= 12, the deepest whose text still parses back: most
+# draws are thousand-digit indices of terms with thousands of nodes.
+@settings(derandomize=True, max_examples=15, database=None, deadline=None)
+@given(st.integers(0, cumulative_size(MAX_TERM_DEPTH - 1) - 1))
+def test_index_and_text_roundtrips(delta):
+    term = term_of(delta)
+    assert index_of(term) == delta
     assert parse_term(render_term(term)) == term
     assert parse_term(render_infix(term)) == term
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qarith import dynamics, gates
-from qarith.config import Config
+from qarith.config import SUITE_NAMES, Config
 from qarith.states import Ket
 from qarith.terms import compile_term, cumulative_size, term_of
 from qarith.verify import (
@@ -24,6 +24,11 @@ from qarith.verify import (
 )
 
 CHECKS = SUITES["all"]
+
+
+def test_suite_names_match_the_catalogue():
+    # The CLI offers SUITE_NAMES without importing verify (and numpy).
+    assert list(SUITES) == [*SUITE_NAMES, "all"]
 
 
 @pytest.fixture(scope="module")
