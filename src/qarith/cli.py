@@ -61,6 +61,10 @@ _EXIT_CODES: dict[type[Exception], int] = {
     DisagreementError: EXIT_FAIL,
 }
 
+# Indices of class <= _MAX_INDEX_CLASS: their terms' prefix and infix
+# forms are at most MAX_TERM_DEPTH deep, so they parse back.
+_MAX_INDEX_CLASS = MAX_TERM_DEPTH - 1
+
 _GATE_NAMES = {
     "plus": GateKind.PLUS,
     "minus": GateKind.MINUS,
@@ -76,6 +80,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _parse_roles(text: str | None) -> tuple[int, ...] | None:
@@ -129,12 +140,19 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         sys.stdout.write(csv_text)
         sys.stderr.write(sidecar + "\n")
     else:
-        Path(args.out + ".csv").write_text(csv_text)
-        Path(args.out + ".json").write_text(sidecar + "\n")
+        _write_text(args.out + ".csv", csv_text)
+        _write_text(args.out + ".json", sidecar + "\n")
     return EXIT_OK
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    # Checked before any class size is computed: sizes grow doubly
+    # exponentially with the class.
+    if args.klass > _MAX_INDEX_CLASS:
+        raise ValueError(
+            f"class must be at most {_MAX_INDEX_CLASS}, so its terms parse back, "
+            f"got {args.klass}"
+        )
     for item in enumerate_class(args.klass, args.limit):
         print(f"{item.delta}\t{render_term(item.term)}\t{render_infix(item.term)}")
     return EXIT_OK
@@ -142,11 +160,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 # Decimal integer text as ``int()`` reads it.
 _INTEGER_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
-
-# Indices of class <= _MAX_INDEX_CLASS: their terms' prefix and infix
-# forms are at most MAX_TERM_DEPTH deep, so they parse back.
-_MAX_INDEX_CLASS = MAX_TERM_DEPTH - 1
 
 
 def _term_from_text(text: str):
@@ -236,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("enumerate", help="list operation terms of one class in index order")
-    p.add_argument("klass", type=int, metavar="CLASS")
+    p.add_argument("klass", type=int, metavar="CLASS", help=f"term class (at most {_MAX_INDEX_CLASS})")
     p.add_argument("limit", type=int, nargs="?", default=50)
     p.set_defaults(func=cmd_enumerate)
 

@@ -5,7 +5,11 @@ Hermitian generator of the unit cyclic shift.  The coupling acts as a
 pulse of unit duration: by the end of the pulse the ring register has
 advanced by the control label, so the interaction realizes the adder.
 Free single-register terms act the whole time and default to zero, so
-with the default model the state is frozen once the pulse ends.
+with the default model the state is frozen once the pulse ends.  The
+free terms are diagonal in the label basis, so for every model the label
+probabilities are frozen once the pulse ends: a stopping-time trace
+evaluates one row per grid time up to the first time at or past the
+pulse end and reuses that row for the later times.
 
 Ring labels occupy the symmetric window -D/2+1 .. D/2.  A pair (n, m)
 is representable only while |n| + |m| < D/2, which keeps the sum n + m
@@ -149,8 +153,10 @@ def _ring_start(model: HamiltonianModel, m: int) -> np.ndarray:
     return psi
 
 
-def _dirichlet_rows(model: HamiltonianModel, m: int, shifts: np.ndarray) -> np.ndarray:
-    """Ring amplitudes of |m> moved by each of ``shifts`` labels, one row per shift.
+def _dirichlet_ratio(
+    model: HamiltonianModel, m: int, shifts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real factor of the ring kernel of |m> moved by each of ``shifts`` labels.
 
     The pulse exp(-i s G) with G the shift generator sends |m> to the
     Dirichlet kernel  e^{i pi d / D} sin(pi d) / (D sin(pi d / D))  at
@@ -159,6 +165,11 @@ def _dirichlet_rows(model: HamiltonianModel, m: int, shifts: np.ndarray) -> np.n
     into the window, and d = x - q - f with the fractional part f in
     [-1/2, 1/2] lies in (-D, D).  The denominator then vanishes only at
     d = 0, where the amplitude is 1.
+
+    Returns the signed real ratio sin(pi d) / (D sin(pi d / D)), one row
+    per shift, with the integer offsets x - q and the fractions f that
+    its phase factor needs.  The phase has modulus 1, so the squared
+    ratio is the ring's probability row.
     """
     dim = model.dim
     half = model.half
@@ -169,21 +180,36 @@ def _dirichlet_rows(model: HamiltonianModel, m: int, shifts: np.ndarray) -> np.n
     delta = offset - frac[:, None]
     # sin(pi d) = -(-1)^(x - q) sin(pi f): integer shifts give exact
     # zeros away from the landing label.
-    label_sign = 1 - 2 * (model.ring_labels % 2)
-    numer = np.outer((2.0 * np.mod(landing, 2.0) - 1.0) * np.sin(np.pi * frac), label_sign)
-    # Below _KERNEL_FLAT the kernel is 1 to double precision (it deviates
-    # by about 1.6 d^2), and D sin(pi d / D) could underflow to zero.
-    ratio = np.divide(
-        numer,
-        dim * np.sin(delta * (np.pi / dim)),
-        out=np.ones_like(delta),
-        where=np.abs(delta) >= _KERNEL_FLAT,
-    )
+    label_sign = 1.0 - 2.0 * (model.ring_labels % 2)
+    ratio = np.outer((2.0 * np.mod(landing, 2.0) - 1.0) * np.sin(np.pi * frac), label_sign)
+    denom = delta * (np.pi / dim)
+    np.sin(denom, out=denom)
+    denom *= dim
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(ratio, denom, out=ratio)
+    # |d| >= 1/2 away from x = q, so |d| < _KERNEL_FLAT only at x = q in
+    # rows with |f| < _KERNEL_FLAT.  Below _KERNEL_FLAT the kernel is 1 to double
+    # precision (it deviates by about 1.6 d^2), and D sin(pi d / D) could
+    # underflow to zero.
+    flat = np.flatnonzero(np.abs(frac) < _KERNEL_FLAT)
+    ratio[flat, model.ring_index(landing[flat]).astype(np.intp)] = 1.0
+    return ratio, offset, frac
+
+
+def _dirichlet_rows(model: HamiltonianModel, m: int, shifts: np.ndarray) -> np.ndarray:
+    """Ring amplitudes of |m> moved by each of ``shifts`` labels, one row per shift."""
+    dim = model.dim
+    ratio, offset, frac = _dirichlet_ratio(model, m, shifts)
     # e^{i pi d / D} = e^{i pi (x - q) / D} e^{-i pi f / D}, the first
     # factor looked up by the integer offset, so it is exactly 1 at x = q.
     turns = np.exp(1j * np.pi * np.arange(1 - dim, dim) / dim)
     phase = turns[offset.astype(np.intp) + (dim - 1)] * np.exp(-1j * np.pi * frac / dim)[:, None]
     return ratio * phase
+
+
+def _closed_form(model: HamiltonianModel) -> bool:
+    """Whether the ring state has the closed form (no free ring term)."""
+    return not any(model.energy_b.values())
 
 
 def _ring_propagator(model: HamiltonianModel, n: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -195,7 +221,7 @@ def _ring_propagator(model: HamiltonianModel, n: int, m: int) -> Callable[[np.nd
     diagonalized once here and every time reuses its eigenbasis.
     """
     c = model.coupling_value(n)
-    if not any(model.energy_b.values()):
+    if _closed_form(model):
         return lambda times: _dirichlet_rows(
             model, m, c * np.minimum(times, GATE_TIME) / model.hbar
         )
@@ -210,6 +236,26 @@ def _ring_propagator(model: HamiltonianModel, n: int, m: int) -> Callable[[np.nd
     return states
 
 
+def _pulse_probabilities(model: HamiltonianModel, n: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Map from pulse times in [0, GATE_TIME] to the ring probabilities of
+    (n, m), one row per time.
+
+    The closed form squares the real Dirichlet ratio and never forms a
+    complex amplitude; otherwise the rows are the propagator's, whose
+    free phases are 1 while the pulse is on.
+    """
+    if _closed_form(model):
+        c = model.coupling_value(n)
+        return lambda t_on: _dirichlet_ratio(model, m, c * t_on / model.hbar)[0] ** 2
+    propagate = _ring_propagator(model, n, m)
+
+    def probabilities(t_on: np.ndarray) -> np.ndarray:
+        rows = propagate(t_on)
+        return rows.real ** 2 + rows.imag ** 2
+
+    return probabilities
+
+
 def _propagate(model: HamiltonianModel, n: int, m: int, t: float) -> np.ndarray:
     """Ring-register amplitudes of the pair (n, m) at time t, control phase included."""
     t = _check_time(t)
@@ -220,11 +266,9 @@ def _propagate(model: HamiltonianModel, n: int, m: int, t: float) -> np.ndarray:
 
 def _ring_ket(model: HamiltonianModel, vec: np.ndarray, control: tuple[int, ...]) -> Ket:
     """Ket over (control..., ring label), pruned below PRUNE_EPS_SQ."""
-    amps = {
-        control + (model.label_at(idx),): complex(amp)
-        for idx, amp in enumerate(vec)
-        if abs(amp) ** 2 >= PRUNE_EPS_SQ
-    }
+    keep = np.flatnonzero(np.abs(vec) ** 2 >= PRUNE_EPS_SQ)
+    labels = (keep - (model.half - 1)).tolist()
+    amps = {control + (label,): amp for label, amp in zip(labels, vec[keep].tolist())}
     return Ket(len(control) + 1, amps)
 
 
@@ -355,15 +399,22 @@ def detect_stopping_time(
     fidelity = np.empty(samples)
     leakage = np.empty(samples)
     off_peak = np.empty(samples)
-    propagate = _ring_propagator(model, n, m)
+    # The probabilities freeze when the pulse ends (free terms are
+    # diagonal): evaluate the grid up to its first time at or past
+    # GATE_TIME, at most TRACE_BLOCK amplitudes at a time, and copy that
+    # row's values to the later times.
+    pulse_rows = min(samples, int(np.searchsorted(times, GATE_TIME, side="left")) + 1)
+    probabilities = _pulse_probabilities(model, n, m)
     rows = max(1, TRACE_BLOCK // model.dim)
-    for lo in range(0, samples, rows):
-        block = propagate(times[lo:lo + rows])
-        probs = block.real ** 2 + block.imag ** 2
-        fidelity[lo:lo + rows] = probs[:, tidx]
-        leakage[lo:lo + rows] = probs.sum(axis=1) - probs[:, tidx]
+    for lo in range(0, pulse_rows, rows):
+        hi = min(lo + rows, pulse_rows)
+        probs = probabilities(np.minimum(times[lo:hi], GATE_TIME))
+        fidelity[lo:hi] = probs[:, tidx]
+        leakage[lo:hi] = probs.sum(axis=1) - probs[:, tidx]
         probs[:, tidx] = 0.0
-        off_peak[lo:lo + rows] = probs.max(axis=1)
+        off_peak[lo:hi] = probs.max(axis=1)
+    for column in (fidelity, leakage, off_peak):
+        column[pulse_rows:] = column[pulse_rows - 1]
     below = np.flatnonzero(fidelity < 1.0 - epsilon)
     start = int(below[-1]) + 1 if below.size else 0
     stopping = float(times[start]) if start < samples else None
@@ -400,7 +451,7 @@ def closed_form_stopping_time(
     check_t_max(t_max)
     check_samples(samples)
     model.check_window(n, 0)
-    if any(model.energy_b.values()) or model.coupling_value(n) != n * model.hbar:
+    if not _closed_form(model) or model.coupling_value(n) != n * model.hbar:
         raise ValueError(
             "the closed-form stopping time needs no free ring term and a pulse "
             f"that lands on n + m (coupling n * hbar), got n = {n}"

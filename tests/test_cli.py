@@ -158,6 +158,14 @@ def test_evolve_writes_trace_and_sidecar(tmp_path, capsys):
     assert abs(sidecar["T"] - 1.0) <= 1.5 / 199
 
 
+def test_evolve_unwritable_out_exits_2(tmp_path, capsys):
+    prefix = str(tmp_path / "missing" / "run")
+    code, out, err = run_cli(capsys, "evolve", "2", "3", "--out", prefix)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {prefix + '.csv'!r}")
+
+
 def test_evolve_stdout(capsys):
     code, out, err = run_cli(capsys, "evolve", "1", "2", "--samples", "20")
     assert code == 0
@@ -258,6 +266,27 @@ def test_enumerate_lists_class1(capsys):
     first = lines[0].split("\t")
     assert first == ["3", "P(M0,P(M0,M0))", "n+(m+k)"]
     assert lines[-1].split("\t") == ["18", "T(T(M0,M0),T(M0,M0))", "(nm)(kl)"]
+
+
+@pytest.mark.parametrize("klass", [MAX_TERM_DEPTH, 1_000_000])
+def test_enumerate_class_past_bound_exits_2(capsys, klass):
+    # Rejected before any class size is computed, so a huge class fails fast.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", str(klass), "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: class must be at most {MAX_TERM_DEPTH - 1}, so its terms parse back, got {klass}"
+    ]
+
+
+def test_enumerate_largest_class_parses_back(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", str(MAX_TERM_DEPTH - 1), "1")
+    assert code == 0
+    [line] = out.splitlines()
+    _, prefix, infix = line.split("\t")
+    for text in (prefix, infix):
+        assert run_cli(capsys, "show", text)[0] == 0
 
 
 def test_eval_term_text(capsys):

@@ -29,7 +29,7 @@ from qarith.dynamics import (
     subsystem_evolve,
     superadditivity_table,
 )
-from qarith.states import Ket
+from qarith.states import PRUNE_EPS_SQ, Ket
 
 
 def dense_ring(model, state, n):
@@ -413,6 +413,81 @@ def test_free_term_trace_matches_expm_oracle():
         probs = np.abs(oracle_ring(model, 2, 3, t)) ** 2
         assert abs(fid - probs[tidx]) <= 1e-12, t
         assert abs(leak - (probs.sum() - probs[tidx])) <= 1e-12, t
+
+
+TRACE_MODELS = {
+    "default": lambda n: {},
+    "hbar": lambda n: {"hbar": 2.0},
+    "coupling": lambda n: {"coupling": {n: n + 0.37}},
+    "energy_a": lambda n: {"energy_a": {n: 0.7}},
+    "energy_b": lambda n: {"energy_b": {0: 0.3, 1: 1.1}},  # the eigh route
+}
+# A grid that ends before the pulse does, two with a sample exactly at
+# t = 1, and the CLI default.
+TRACE_GRIDS = [(0.8, 50), (2.0, 3), (2.0, 201), (1.5, 200)]
+
+
+@pytest.mark.parametrize("dim", [8, 32, 256, 1024])
+@pytest.mark.parametrize("kind", sorted(TRACE_MODELS))
+def test_trace_matches_every_sample_reference(dim, kind):
+    # The reference squares the propagator's complex rows at every sample,
+    # past the pulse too; the trace squares real ratios on the closed form
+    # and reuses the pulse-end row.
+    n, m, epsilon = dim // 4 - 1, 1, 1e-3
+    model = build_model(dim, **TRACE_MODELS[kind](n))
+    propagate = dynamics._ring_propagator(model, n, m)
+    tidx = model.ring_index(n + m)
+    for t_max, samples in TRACE_GRIDS:
+        times = np.linspace(0.0, t_max, samples)
+        rows = propagate(times)
+        probs = rows.real ** 2 + rows.imag ** 2
+        fidelity = probs[:, tidx].copy()
+        leakage = probs.sum(axis=1) - fidelity
+        probs[:, tidx] = 0.0
+        off_peak = probs.max(axis=1)
+        below = np.flatnonzero(fidelity < 1.0 - epsilon)
+        start = int(below[-1]) + 1 if below.size else 0
+
+        trace = detect_stopping_time(model, n, m, epsilon, t_max, samples)
+        assert trace.times == tuple(times.tolist())
+        assert np.max(np.abs(np.array(trace.fidelity) - fidelity)) <= 1e-14
+        assert np.max(np.abs(np.array(trace.leakage) - leakage)) <= 1e-14
+        if start < samples:
+            assert trace.stopping_time == times[start]
+            assert abs(trace.off_peak_past_stop - off_peak[start:].max()) <= 1e-14
+        else:
+            assert trace.stopping_time is None and trace.off_peak_past_stop is None
+        # every sample after the pulse is the pulse-end sample, exactly
+        end = int(np.searchsorted(times, GATE_TIME))
+        if end < samples:
+            assert set(trace.fidelity[end:]) == {trace.fidelity[end]}
+            assert set(trace.leakage[end:]) == {trace.leakage[end]}
+
+
+def loop_ring_ket(model, vec, control):
+    """Reference ring ket, built one component at a time."""
+    amps = {
+        control + (model.label_at(idx),): complex(amp)
+        for idx, amp in enumerate(vec)
+        if abs(amp) ** 2 >= PRUNE_EPS_SQ
+    }
+    return Ket(len(control) + 1, amps)
+
+
+def item_bits(ket):
+    return [(key, amp.real.hex(), amp.imag.hex()) for key, amp in ket.items()]
+
+
+@pytest.mark.parametrize("dim", [8, 64, 1024])
+def test_ring_ket_matches_component_loop(dim):
+    n, m = dim // 4 - 1, 1
+    model = build_model(dim, energy_a={n: 0.7})
+    # t = 0 and 1 shift by whole labels (n is odd), 0.5 and 0.37 do not
+    for t in (0.0, 0.37, 0.5, 1.0, 1.3):
+        vec = dynamics._propagate(model, n, m, t)
+        for control in ((), (n,)):
+            got = dynamics._ring_ket(model, vec, control)
+            assert item_bits(got) == item_bits(loop_ring_ket(model, vec, control))
 
 
 @pytest.mark.parametrize("dim", [8, 32, 512])

@@ -11,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qarith.states import Ket, basis_ket, superposition
 
@@ -173,6 +175,36 @@ def test_json_roundtrip_two_register():
     doc = ket.to_json_dict()
     assert [t["labels"] for t in doc["terms"]] == [[0, -3], [1, -2], [1, 2]]
     assert Ket.from_json_dict(doc) == ket
+
+
+# Short labels of either sign, and labels of about 4,000 digits (below
+# the int-to-text limit of 4,300) of either sign.
+_LABELS = st.one_of(
+    st.integers(-1000, 1000),
+    st.builds(
+        lambda sign, digits, low: sign * (10 ** digits + low),
+        st.sampled_from((1, -1)),
+        st.integers(3900, 4100),
+        st.integers(0, 10**6),
+    ),
+)
+_PARTS = st.one_of(st.just(-0.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def json_kets(draw):
+    registers = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.tuples(*[_LABELS] * registers), max_size=5, unique=True))
+    return Ket(registers, {key: complex(draw(_PARTS), draw(_PARTS)) for key in keys})
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(json_kets())
+def test_json_roundtrip_property(ket):
+    text = ket.to_json()
+    back = Ket.from_json(text)
+    assert back == ket
+    assert back.to_json() == text  # byte-identical, signs of zero included
 
 
 @pytest.mark.parametrize(
