@@ -40,6 +40,8 @@ class FreeVar:
     """Leaf standing for one integer argument."""
 
     __slots__ = ()
+    arity = 1
+    depth = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,12 +50,16 @@ class Node:
     left: "Term"
     right: "Term"
     _hash: int = field(init=False, repr=False, compare=False)
+    arity: int = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # The same value the dataclass hash gives, but computed once, from
-        # the children's stored hashes: lru_cache lookups keyed on a term
-        # then cost O(1) instead of a walk over the whole tree.
+        # Computed once, from the children's stored values: the hash the
+        # dataclass would give, the leaf count and the longest root-to-leaf
+        # path.  Cache lookups and shape reads then never walk the tree.
         object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
+        object.__setattr__(self, "arity", self.left.arity + self.right.arity)
+        object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
 
     def __hash__(self) -> int:
         return self._hash
@@ -76,18 +82,12 @@ def check_class_bound(bound: object) -> None:
 
 
 def arity(term: Term) -> int:
-    if isinstance(term, FreeVar):
-        return 1
-    return arity(term.left) + arity(term.right)
+    return term.arity
 
 
 def class_of(term: Term) -> int:
-    if isinstance(term, FreeVar):
-        return 0
-    levels = [class_of(c) for c in (term.left, term.right) if isinstance(c, Node)]
-    if not levels:
-        return 0
-    return 1 + max(levels)
+    """A term of depth d has class d - 1; the leaf is class 0."""
+    return max(term.depth - 1, 0)
 
 
 @lru_cache(maxsize=None)
@@ -244,9 +244,6 @@ _TOKEN = re.compile(r"\s*(?:(?P<op>[PT])\(|(?P<m0>M0)|(?P<var>x\d+|[A-Za-z])|(?P
 
 _TOO_DEEP = f"term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}"
 
-# Parse results carry their depth: (term, operations on the longest path).
-_Parsed = tuple[Term, int]
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -281,26 +278,26 @@ class _Parser:
         return tok
 
     def parse(self) -> Term:
-        term, _ = self.sum()
+        term = self.sum()
         if self.peek() is not None:
             raise TermSyntaxError(f"trailing input from token {self.peek()[1]!r}")
         return term
 
     @staticmethod
-    def node(op: BinOp, left: _Parsed, right: _Parsed) -> _Parsed:
-        depth = 1 + max(left[1], right[1])
-        if depth > MAX_TERM_DEPTH:
+    def node(op: BinOp, left: Term, right: Term) -> Term:
+        term = Node(op, left, right)
+        if term.depth > MAX_TERM_DEPTH:
             raise TermSyntaxError(_TOO_DEEP)
-        return Node(op, left[0], right[0]), depth
+        return term
 
-    def sum(self) -> _Parsed:
+    def sum(self) -> Term:
         term = self.product()
         while self.peek() == ("punct", "+"):
             self.take()
             term = self.node(BinOp.PLUS, term, self.product())
         return term
 
-    def product(self) -> _Parsed:
+    def product(self) -> Term:
         term = self.factor()
         while True:
             tok = self.peek()
@@ -312,13 +309,11 @@ class _Parser:
             else:
                 return term
 
-    def factor(self) -> _Parsed:
+    def factor(self) -> Term:
         kind, text = self.take()
-        if kind == "m0":
-            return FREE, 0
-        if kind == "var":
+        if kind in ("m0", "var"):
             # Variable names are decorative: every occurrence is a fresh leaf.
-            return FREE, 0
+            return FREE
         if kind == "op" or (kind, text) == ("punct", "("):
             self.nesting += 1
             if self.nesting > MAX_TERM_DEPTH:
@@ -350,7 +345,7 @@ def parse_term(text: str) -> Term:
 
 def evaluate_oracle(term: Term, args: tuple[int, ...]) -> int:
     """Exact integer value with arguments bound to leaves left to right."""
-    n = arity(term)
+    n = term.arity
     if len(args) != n:
         raise ArityError(f"term takes {n} argument(s), got {len(args)}")
     for v in args:
@@ -375,7 +370,7 @@ def compile_term(term: Term) -> Circuit:
     Inputs occupy the first ``arity`` registers, leaves left to right;
     every multiplication node owns one ancilla register that starts at 0.
     """
-    n = arity(term)
+    n = term.arity
     steps: list[GateStep] = []
     next_leaf = [0]
     next_ancilla = [n]

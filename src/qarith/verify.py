@@ -89,10 +89,12 @@ def check_norm_algebra(config: Config, rng: np.random.Generator) -> CheckResult:
         a = _random_ket(rng, 1, int(rng.integers(1, 13)))
         b = _random_ket(rng, 1, int(rng.integers(1, 13)))
         c = a.add_scaled(complex(rng.normal(), rng.normal()), b)
-        worst = max(worst, abs(a.tensor(b).norm() - a.norm() * b.norm()))
         worst = max(
             worst,
+            abs(a.tensor(b).norm() - a.norm() * b.norm()),
             abs(a.tensor(c).inner(b.tensor(a)) - a.inner(b) * c.inner(a)),
+            abs(a.inner(b) - b.inner(a).conjugate()),
+            abs(a.inner(a) - a.norm_sq()),
         )
     return CheckResult("norm_algebra", worst <= tol, f"60 sampled pairs, worst {worst:.2e}")
 
@@ -772,15 +774,14 @@ def church_sweep(
     ket route of every gate the term uses is checked too.  Each
     disagreement is reported as a JSON-ready dict.
     """
-    indexed = []
-    for k in range(class_bound + 1):
-        indexed.extend(terms.enumerate_class(k))
+    total = terms.cumulative_size(class_bound)
     width = hi - lo + 1
-    quota = max(1, budget // len(indexed))
+    quota = max(1, budget // total)
     cases = 0
     disagreements: list[dict] = []
-    for item in indexed:
-        n = terms.arity(item.term)
+    for delta in range(total):
+        term = terms.term_of(delta)
+        n = term.arity
         if width**n <= quota:
             pool = itertools.product(range(lo, hi + 1), repeat=n)
         else:
@@ -788,12 +789,12 @@ def church_sweep(
                 tuple(int(v) for v in rng.integers(lo, hi + 1, size=n)) for _ in range(quota)
             )
         for i, args in enumerate(pool):
-            report = terms.evaluate_gates(item.term, tuple(args))
+            report = terms.evaluate_gates(term, tuple(args))
             cases += 1
             if not report.agree:
                 disagreements.append(report.to_json_dict())
             if i == 0:
-                mismatch = _ket_route_mismatch(terms.compile_term(item.term), tuple(args))
+                mismatch = _ket_route_mismatch(terms.compile_term(term), tuple(args))
                 if mismatch is not None:
                     disagreements.append({**report.to_json_dict(), **mismatch})
     return cases, disagreements
@@ -876,6 +877,8 @@ SUITES["all"] = tuple(fn for name in SUITE_NAMES for fn in SUITES[name])
 def run_suite(name: str, config: Config, seed: int = 0) -> dict:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     results = [fn(config, rng) for fn in SUITES[name]]
     failed = sum(1 for r in results if not r.ok)

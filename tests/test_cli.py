@@ -166,6 +166,27 @@ def test_evolve_unwritable_out_exits_2(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {prefix + '.csv'!r}")
 
 
+def test_evolve_out_writes_both_or_neither(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").mkdir()
+    code, out, err = run_cli(capsys, "evolve", "2", "3", "--out", "x")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: cannot write 'x.json': Is a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+    assert not any((tmp_path / "x.json").iterdir())
+
+
+@pytest.mark.parametrize("prefix", ["", "dir/"])
+def test_evolve_out_needs_a_file_name(tmp_path, capsys, monkeypatch, prefix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    code, out, err = run_cli(capsys, "evolve", "2", "3", "--out", prefix)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --out PREFIX must end in a file name, got {prefix!r}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert not any((tmp_path / "dir").iterdir())
+
+
 def test_evolve_stdout(capsys):
     code, out, err = run_cli(capsys, "evolve", "1", "2", "--samples", "20")
     assert code == 0
@@ -278,6 +299,21 @@ def test_enumerate_class_past_bound_exits_2(capsys, klass):
     assert err.splitlines() == [
         f"error: class must be at most {MAX_TERM_DEPTH - 1}, so its terms parse back, got {klass}"
     ]
+
+
+@pytest.mark.parametrize("limit", [-1, 100_001, 10**30])
+def test_enumerate_limit_out_of_range_exits_2(capsys, limit):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enumerate", "3", str(limit))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: LIMIT must be in 0..100000, got {limit}"]
+
+
+def test_enumerate_limit_bounds_accepted(capsys):
+    assert run_cli(capsys, "enumerate", "1", "0")[:2] == (0, "")
+    code, out, _ = run_cli(capsys, "enumerate", "0", "100000")
+    assert code == 0 and len(out.splitlines()) == 3
 
 
 def test_enumerate_largest_class_parses_back(capsys):
@@ -454,6 +490,12 @@ def test_verify_stopping_at_wide_epsilon(capsys):
     )
     assert (code, err) == (0, "")
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "logic", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
 
 
 def test_verify_deterministic_across_processes():

@@ -69,6 +69,51 @@ def test_arity():
     assert arity(term_of(18)) == 4
 
 
+def _shape(term):
+    """(arity, depth) by walking the tree: the reference for the stored values."""
+    if term is FREE:
+        return 1, 0
+    (la, ld), (ra, rd) = _shape(term.left), _shape(term.right)
+    return la + ra, 1 + max(ld, rd)
+
+
+def _shape_sample():
+    """Every term of class <= 2, and a seeded sample of 2,000 class-3 ones."""
+    rng = np.random.default_rng(11)
+    lo, hi = cumulative_size(2), cumulative_size(3)
+    sample = [int(d) for d in rng.integers(lo, hi, size=2000)]
+    return [term_of(d) for d in [*range(lo), *sample]]
+
+
+def test_stored_shape_matches_a_walk():
+    for term in _shape_sample():
+        for built in (term, parse_term(render_term(term)), parse_term(render_infix(term))):
+            assert (built.arity, built.depth) == _shape(term)
+            assert arity(built) == built.arity
+            assert class_of(built) == max(built.depth - 1, 0)
+
+
+def test_shape_of_a_deep_chain():
+    # Built node by node, so no walk is needed to make it; reading its
+    # shape must not need one either.
+    term = FREE
+    for _ in range(5000):
+        term = Node(P, term, FREE)
+    assert arity(term) == 5001
+    assert class_of(term) == 4999
+
+
+def test_stored_shape_leaves_identity_alone():
+    assert repr(term_of(18)) == (
+        "Node(op=<BinOp.TIMES: 2>, left=Node(op=<BinOp.TIMES: 2>, left=FreeVar(), "
+        "right=FreeVar()), right=Node(op=<BinOp.TIMES: 2>, left=FreeVar(), right=FreeVar()))"
+    )
+    twin = node(T, node(T, FREE, FREE), node(T, FREE, FREE))
+    assert twin == term_of(18) and hash(twin) == hash(term_of(18))
+    assert hash(twin) == hash((twin.op, twin.left, twin.right))
+    assert node(P, FREE, FREE) != node(T, FREE, FREE)
+
+
 def test_elementary_indices():
     assert term_of(0) == FREE
     assert term_of(1) == ELEM_PLUS

@@ -6,6 +6,7 @@ case, named after its function, that prints the check's detail.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from qarith.verify import (
     STOP_SAMPLES,
     STOP_T_MAX,
     SUITES,
+    check_norm_algebra,
     check_stop_near_unit,
     church_sweep,
     run_suite,
@@ -101,3 +103,26 @@ def test_stop_check_rejects_a_shifted_trace(monkeypatch, pair, steps):
     result = check_stop_near_unit(config, np.random.default_rng(0))
     assert not result.ok
     assert f"({pair[0]},{pair[1]})" in result.detail
+
+
+def test_church_sweep_unchanged():
+    # Same cases, same verdict and the same generator draws as the sweep
+    # over a prebuilt list of every term up to the bound gave.
+    rng = np.random.default_rng(0)
+    assert church_sweep(2, 50000, rng) == (49785, [])
+    assert int(rng.integers(1 << 62)) == 3279818263252675505
+
+
+def test_norm_algebra_sees_a_missing_conjugate(monkeypatch):
+    def bilinear(self, other):
+        return sum(amp * other._amps.get(key, 0j) for key, amp in self._amps.items())
+
+    assert check_norm_algebra(Config(), np.random.default_rng(0)).ok
+    monkeypatch.setattr(Ket, "inner", bilinear)
+    assert not check_norm_algebra(Config(), np.random.default_rng(0)).ok
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "0"])
+def test_run_suite_rejects_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=re.escape(f"non-negative integer, got {seed!r}")):
+        run_suite("logic", Config(), seed=seed)
