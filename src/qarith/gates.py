@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .states import Ket, basis_ket
@@ -88,8 +88,9 @@ def _check_roles(registers: int, kind: GateKind, roles: tuple[int, ...]) -> None
 def _label_map(kind: GateKind, roles: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """The basis-label map of one gate; roles must already be checked.
 
-    Both routes apply it: ``Ket._map_labels`` to every component of a
-    ket, and ``run_basis`` to a single label tuple.
+    The ket route applies it to every component through
+    ``Ket._map_labels``.  The basis lane (``_run_labels``) does the same
+    arithmetic in place on one list of labels.
     """
     if kind is GateKind.PLUS:
         s, t = roles
@@ -264,26 +265,76 @@ def run_program(program: GateProgram, state: Ket) -> Ket:
     return state
 
 
-def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
-    """Run a program on one basis state, given as its label tuple.
+def _valid_steps(registers: int, steps: tuple[GateStep, ...]) -> int:
+    """How many leading steps have roles valid on ``registers`` registers."""
+    for i, step in enumerate(steps):
+        try:
+            _check_roles(registers, step.kind, step.roles)
+        except ValueError:
+            return i
+    return len(steps)
 
-    Gates only permute basis labels, so this equals ``run_program`` on
-    ``basis_ket(*labels)`` without building a ket per step: it returns
-    the final state's labels, and fails with the same errors.
+
+# Bound once: looking up an Enum member costs more than a gate's
+# arithmetic on small labels.
+_PLUS, _MINUS, _TIMES_STRICT = GateKind.PLUS, GateKind.MINUS, GateKind.TIMES_STRICT
+
+
+def _run_labels(steps: tuple[GateStep, ...], labels: tuple[int, ...], valid: int) -> list[int]:
+    """The basis lane: run ``steps`` on a list of ``labels``, in place, and return it.
+
+    The first ``valid`` steps must have roles checked against
+    ``len(labels)`` registers; they run without further checks.  If a
+    step after them remains, it raises its role error once they have
+    run, so a gate error in an earlier step wins, as on the ket route.
+    Errors are ``run_program``'s: the step index, and the component as a
+    tuple.
     """
     if not labels:
         raise ValueError("need at least one register label")
     for label in labels:
         if not isinstance(label, int) or isinstance(label, bool):
             raise ValueError(f"register label must be an integer, got {label!r}")
-    labels = tuple(labels)
-    for i, step in enumerate(program.steps):
-        try:
-            _check_roles(len(labels), step.kind, step.roles)
-            labels = _label_map(step.kind, step.roles)(labels)
-        except ValueError as exc:
-            raise ProgramStepError(i, step, exc) from exc
-    return labels
+    regs = list(labels)
+    try:
+        for i in range(valid):
+            step = steps[i]
+            kind = step.kind
+            if kind is _PLUS:
+                s, t = step.roles
+                regs[t] += regs[s]
+            elif kind is _MINUS:
+                s, t = step.roles
+                regs[t] -= regs[s]
+            elif kind is _TIMES_STRICT:
+                s, t = step.roles
+                if regs[s] == 0:
+                    raise GateDomainError(tuple(regs), (s, t))
+                regs[t] *= regs[s]
+            else:
+                a, b, c = step.roles
+                if regs[c] != 0:
+                    raise AncillaError(tuple(regs), c)
+                regs[c] = regs[a] * regs[b]
+        i = valid
+        if i < len(steps):
+            _check_roles(len(regs), steps[i].kind, steps[i].roles)
+    except ValueError as exc:
+        raise ProgramStepError(i, steps[i], exc) from exc
+    return regs
+
+
+def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
+    """Run a program on one basis state, given as its label tuple.
+
+    Gates only permute basis labels, so this equals ``run_program`` on
+    ``basis_ket(*labels)`` without building a ket per step: it returns
+    the final state's labels, and fails with the same errors.  A bare
+    program has no register layout, so its roles are checked against
+    ``len(labels)`` on every call; a ``Circuit`` checks them once.
+    """
+    steps = program.steps
+    return tuple(_run_labels(steps, labels, _valid_steps(len(labels), steps)))
 
 
 @dataclass(frozen=True)
@@ -293,12 +344,21 @@ class Circuit:
     The first ``arity`` registers hold the arguments and the rest start
     at ``constants``; the value is read off ``result_register`` of the
     final state.  Compiled terms and boolean connectives are circuits.
+
+    The program's roles are checked against ``registers`` once, when the
+    circuit is built.  A circuit with bad roles can still be built: its
+    run fails at the first bad step, with ``run_program``'s error.
     """
 
     program: GateProgram
     arity: int
     constants: tuple[int, ...]
     result_register: int
+    # Leading program steps whose roles passed the check.
+    _valid: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_valid", _valid_steps(self.registers, self.program.steps))
 
     @property
     def registers(self) -> int:
@@ -313,5 +373,6 @@ class Circuit:
         return basis_ket(*self.initial_labels(args))
 
     def run(self, args: tuple[int, ...]) -> int:
-        """The value on basis-state arguments, computed on label tuples."""
-        return run_basis(self.program, self.initial_labels(args))[self.result_register]
+        """The value on basis-state arguments, computed on one list of labels."""
+        regs = _run_labels(self.program.steps, self.initial_labels(args), self._valid)
+        return regs[self.result_register]

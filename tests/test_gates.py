@@ -7,7 +7,7 @@ The label window, norm, linearity and inverse properties are checks of
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qarith import gates
@@ -252,17 +252,27 @@ def _outcome(run):
 
 @settings(derandomize=True, max_examples=400, database=None, deadline=None)
 @given(program_and_labels())
+# A strict product by 0 before bad roles, and bad roles after a good step:
+# a circuit checks its roles when built, yet the earlier step's error wins.
+@example((GateProgram((GateStep(GateKind.TIMES_STRICT, (0, 1)), GateStep(GateKind.PLUS, (0, 2)))),
+          (0, 5)))
+@example((GateProgram((GateStep(GateKind.PLUS, (0, 1)), GateStep(GateKind.MINUS, (1, 1)))),
+          (3, 5)))
 def test_basis_lane_matches_ket_route(case):
     program, labels = case
     lane, lane_error = _outcome(lambda: run_basis(program, labels))
     ket, ket_error = _outcome(lambda: run_program(program, basis_ket(*labels)))
+    # The same program as a circuit, read off each register in turn.
+    circuits = [Circuit(program, len(labels), (), r) for r in range(len(labels))]
     if lane_error is None and ket_error is None:
         assert [key for key, _ in ket.items()] == [lane]
+        assert tuple(c.run(labels) for c in circuits) == lane
         return
     assert lane_error is not None and ket_error is not None
-    assert lane_error.step_index == ket_error.step_index
-    assert type(lane_error.cause) is type(ket_error.cause)
-    assert str(lane_error) == str(ket_error)
+    for error in [lane_error, *(_outcome(lambda: c.run(labels))[1] for c in circuits)]:
+        assert error.step_index == ket_error.step_index
+        assert type(error.cause) is type(ket_error.cause)
+        assert str(error) == str(ket_error)
 
 
 def _expected_labels(kind, roles, key):

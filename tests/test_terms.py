@@ -256,6 +256,25 @@ def test_compiled_structure():
     assert compiled.registers == 1 and len(compiled.program) == 0
 
 
+def test_circuit_checks_its_roles_once(monkeypatch):
+    # A circuit checks its program's roles when built; a bare program run
+    # on labels has no layout, so run_basis checks every step every call.
+    calls = []
+    real = gates._check_roles
+    monkeypatch.setattr(gates, "_check_roles", lambda *a: calls.append(a) or real(*a))
+    term = term_of(500)
+    circuit = compile_term.__wrapped__(term)
+    steps = len(circuit.program)
+    assert len(calls) == steps > 0
+    args = tuple(range(1, term.arity + 1))
+    for _ in range(100):
+        circuit.run(args)
+    assert len(calls) == steps
+    for _ in range(2):
+        gates.run_basis(circuit.program, circuit.initial_labels(args))
+    assert len(calls) == 3 * steps
+
+
 def test_dual_evaluation_examples():
     doc = json.loads(evaluate_gates(term_of(7), (1, 2, 3, 4)).to_json())
     assert doc == {

@@ -14,11 +14,13 @@ import pytest
 from qarith import dynamics, gates
 from qarith.config import SUITE_NAMES, Config
 from qarith.states import Ket
-from qarith.terms import compile_term, cumulative_size, term_of
+from qarith.terms import MAX_CLASS_BOUND, compile_term, cumulative_size, render_term, term_of
 from qarith.verify import (
+    CHURCH_BUDGET,
     STOP_SAMPLES,
     STOP_T_MAX,
     SUITES,
+    check_church_correspondence,
     check_norm_algebra,
     check_stop_near_unit,
     church_sweep,
@@ -47,6 +49,14 @@ def test_check(report, index):
     assert check["ok"], check["detail"]
 
 
+def _adding_terms(class_bound):
+    return [
+        delta
+        for delta in range(cumulative_size(class_bound))
+        if any(step.kind is gates.GateKind.PLUS for step in compile_term(term_of(delta)).program.steps)
+    ]
+
+
 @pytest.mark.parametrize("bumped", ["target", "last"])
 def test_church_sweep_checks_the_ket_route(monkeypatch, bumped):
     # Dual evaluation runs on label tuples, so only the sweep's cross-check
@@ -68,17 +78,48 @@ def test_church_sweep_checks_the_ket_route(monkeypatch, bumped):
     assert cases > 0 and disagreements
     assert all(d["agree"] and "ket_route" in d for d in disagreements)
     # one per term whose program adds: the first argument tuple of each
-    adding = [
-        delta
-        for delta in range(cumulative_size(1))
-        if any(step.kind is gates.GateKind.PLUS for step in compile_term(term_of(delta)).program.steps)
-    ]
-    assert len(disagreements) == len(adding)
+    assert len(disagreements) == len(_adding_terms(1))
     failed = [d for d in disagreements if isinstance(d["ket_route"], str)]
     assert bool(failed) == (bumped == "last")
     report = run_suite("church", Config(class_bound=1), seed=0)
     assert report["ok"] is False
     assert "ket_route" in report["checks"][0]["detail"]
+
+
+def test_church_check_sees_a_basis_lane_fault(monkeypatch):
+    # An adder one unit too high on the basis lane: dual evaluation parts
+    # from the integer recursion at the first term that adds.
+    real = gates._run_labels
+
+    def plus_one_more(steps, labels, valid):
+        regs = list(labels)
+        for step in steps:
+            regs = real((step,), regs, 1)
+            if step.kind is gates.GateKind.PLUS:
+                regs[step.roles[1]] += 1
+        return regs
+
+    monkeypatch.setattr(gates, "_run_labels", plus_one_more)
+    result = check_church_correspondence(Config(class_bound=1), np.random.default_rng(0))
+    assert result.ok is False
+    first = term_of(_adding_terms(1)[0])
+    assert result.detail.startswith(f"first disagreement: {{'term': '{render_term(first)}'")
+    assert "'agree': False" in result.detail
+
+
+@pytest.mark.parametrize("class_bound", [Config().class_bound, MAX_CLASS_BOUND])
+def test_church_draws_one_block_per_term(class_bound):
+    # The sweep draws a term's sampled cases as one (quota, arity) block of
+    # labels in -3..3. It must give the per-case draws and leave the
+    # generator where they left it, for the quota of `verify all` and of
+    # the largest class bound, and every arity up to 2**(class_bound + 1),
+    # the most leaves a term of that class has.
+    quota = max(1, CHURCH_BUDGET // cumulative_size(class_bound))
+    for n in range(1, 2 ** (class_bound + 1) + 1):
+        per_case, block = np.random.default_rng(n), np.random.default_rng(n)
+        cases = [tuple(int(v) for v in per_case.integers(-3, 4, size=n)) for _ in range(quota)]
+        assert list(map(tuple, block.integers(-3, 4, size=(quota, n)).tolist())) == cases
+        assert int(per_case.integers(1 << 62)) == int(block.integers(1 << 62))
 
 
 @pytest.mark.parametrize("pair", [(1, 0), (4, -3)])
