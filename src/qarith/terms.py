@@ -96,8 +96,7 @@ def class_size(k: int) -> int:
         raise ValueError(f"class must be non-negative, got {k}")
     if k == 0:
         return 3
-    a = cumulative_size(k - 1)
-    b = cumulative_size(k - 2) if k >= 2 else 1
+    a, b = _region_bounds(k)
     return 2 * (a * a - b * b)
 
 

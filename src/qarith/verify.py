@@ -249,20 +249,20 @@ def check_gate_norm_linearity(config: Config, rng: np.random.Generator) -> Check
 def check_plus_minus_inverse(config: Config, rng: np.random.Generator) -> CheckResult:
     tol = TOLERANCES["amplitude"]
     worst = -1.0
-    ok = True
+    moved = 0
     for _ in range(40):
         ket = _random_ket(rng, 2, int(rng.integers(1, 21)))
         back = gates.apply_minus(gates.apply_plus(ket))
         forth = gates.apply_plus(gates.apply_minus(ket))
         for other in (back, forth):
             if other.support() != ket.support():
-                ok = False
+                moved += 1
                 continue
             worst = max(worst, ket.distance(other))
-    ok = ok and worst <= tol
-    return CheckResult(
-        "plus_minus_inverse", ok, f"40 states, worst amplitude drift {max(worst, 0.0):.2e}"
-    )
+    detail = f"40 states, worst amplitude drift {max(worst, 0.0):.2e}"
+    if moved:
+        detail += f", {moved} round trips changed the support"
+    return CheckResult("plus_minus_inverse", not moved and worst <= tol, detail)
 
 
 def check_iterate_matches_times(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -335,35 +335,6 @@ def check_gate_errors(config: Config, rng: np.random.Generator) -> CheckResult:
 
 
 # --- dynamics ----------------------------------------------------------------
-
-
-def check_generator_structure(config: Config, rng: np.random.Generator) -> CheckResult:
-    model = dynamics.build_model(config.dim)
-    f = model.fourier_matrix
-    eye = np.eye(model.dim)
-    problems = []
-    if np.max(np.abs(f @ f.conj().T - eye)) > 1e-12:
-        problems.append("fourier basis not unitary")
-    g = model.shift_generator
-    if np.max(np.abs(g - g.conj().T)) > 1e-12:
-        problems.append("generator not hermitian")
-    expected = set()
-    for k in range(-model.half + 1, model.half + 1):
-        expected.add(round(2.0 * math.pi * k / model.dim, 12))
-    actual = {round(float(v), 12) for v in model.shift_eigenphases}
-    if actual != expected:
-        problems.append("eigenphase set mismatch")
-    step = f @ np.diag(np.exp(-1j * model.shift_eigenphases)) @ f.conj().T
-    perm = np.zeros_like(step)
-    for idx in range(model.dim):
-        target = model.ring_index(model.label_at(idx) + 1)
-        perm[target, idx] = 1.0
-    if np.max(np.abs(step - perm)) > 1e-12:
-        problems.append("unit pulse is not the unit shift")
-    ok = not problems
-    return CheckResult(
-        "generator_structure", ok, "; ".join(problems) if problems else f"D={model.dim}"
-    )
 
 
 def check_whole_shift_fidelity(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -441,19 +412,17 @@ def check_subsystem_consistency(config: Config, rng: np.random.Generator) -> Che
     return CheckResult("subsystem_consistency", ok, f"36 runs, worst distance {worst:.2e}")
 
 
-def check_pulse_freeze(config: Config, rng: np.random.Generator) -> CheckResult:
-    model = dynamics.build_model(config.dim)
-    n, m = _probe_pairs(config)[0]
-    d = dynamics.evolve_exact(model, n, m, 1.0).distance(dynamics.evolve_exact(model, n, m, 1.4))
-    ok = d <= 1e-12
-    return CheckResult("pulse_freeze", ok, f"drift past the pulse {d:.2e}")
-
-
 # --- stopping times ----------------------------------------------------------
 
 # Grid pinned for stopping-time checks, reaching well past the pulse.
 STOP_T_MAX = 4.0
 STOP_SAMPLES = 200
+# stop_near_unit's finer grid, of step 0.001.  At epsilon = 1e-3 the
+# fidelity crosses 1 - 2 epsilon about 0.007 / |n| after it crosses
+# 1 - epsilon: less than the coarse step of 0.02, but more than this
+# step for every |n| <= 6, so on this grid a threshold off by a factor
+# of two moves every stopping time the check compares.
+STOP_FINE_SAMPLES = 4001
 
 
 def _stop_n_max(config: Config) -> int:
@@ -498,13 +467,13 @@ def check_stop_near_unit(config: Config, rng: np.random.Generator) -> CheckResul
         if n == 0:
             continue
         expected = dynamics.closed_form_stopping_time(
-            model, n, config.epsilon, STOP_T_MAX, STOP_SAMPLES
+            model, n, config.epsilon, STOP_T_MAX, STOP_FINE_SAMPLES
         )
         for m in (0, 3, -3):
             if abs(n) + abs(m) >= model.half:
                 continue
             trace = dynamics.detect_stopping_time(
-                model, n, m, config.epsilon, STOP_T_MAX, STOP_SAMPLES
+                model, n, m, config.epsilon, STOP_T_MAX, STOP_FINE_SAMPLES
             )
             count += 1
             if trace.stopping_time is None:
@@ -518,23 +487,6 @@ def check_stop_near_unit(config: Config, rng: np.random.Generator) -> CheckResul
         "; ".join(problems[:4])
         if problems
         else f"{count} runs stop at the first grid time past the fidelity crossing",
-    )
-
-
-def check_epsilon_monotone(config: Config, rng: np.random.Generator) -> CheckResult:
-    model = dynamics.build_model(config.dim)
-    n, m = _probe_pairs(config)[0]
-    loose = dynamics.detect_stopping_time(model, n, m, 0.49, STOP_T_MAX, STOP_SAMPLES)
-    tight = dynamics.detect_stopping_time(model, n, m, config.epsilon, STOP_T_MAX, STOP_SAMPLES)
-    ok = (
-        loose.stopping_time is not None
-        and tight.stopping_time is not None
-        and loose.stopping_time <= tight.stopping_time + 1e-12
-    )
-    return CheckResult(
-        "epsilon_monotone",
-        ok,
-        f"T(0.49)={loose.stopping_time} vs T({config.epsilon})={tight.stopping_time}",
     )
 
 
@@ -591,23 +543,6 @@ def check_truth_tables(config: Config, rng: np.random.Generator) -> CheckResult:
     return CheckResult(
         "truth_tables_dual", ok, "; ".join(problems) if problems else f"{cases} cases, both paths"
     )
-
-
-def check_de_morgan(config: Config, rng: np.random.Generator) -> CheckResult:
-    problems = []
-    for p, q in itertools.product((0, 1), repeat=2):
-        lhs = logic.not_(logic.and_(p, q))
-        rhs = logic.or_(logic.not_(p), logic.not_(q))
-        if lhs != rhs:
-            problems.append(f"arithmetic ({p},{q})")
-        lhs_g = logic.eval_with_gates("not", logic.eval_with_gates("and", p, q))
-        rhs_g = logic.eval_with_gates(
-            "or", logic.eval_with_gates("not", p), logic.eval_with_gates("not", q)
-        )
-        if lhs_g != rhs_g or lhs_g != lhs:
-            problems.append(f"gates ({p},{q})")
-    ok = not problems
-    return CheckResult("de_morgan", ok, "; ".join(problems) if problems else "4 of 4 pairs")
 
 
 def check_bit_domain(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -846,22 +781,18 @@ SUITES: dict[str, tuple] = {
         check_gate_errors,
     ),
     "dynamics": (
-        check_generator_structure,
         check_whole_shift_fidelity,
         check_numeric_vs_exact,
         check_subsystem_consistency,
-        check_pulse_freeze,
     ),
     "stopping": (
         check_trace_bookkeeping,
         check_stop_near_unit,
-        check_epsilon_monotone,
         check_off_peak_bound,
         check_superadditivity,
     ),
     "logic": (
         check_truth_tables,
-        check_de_morgan,
         check_bit_domain,
     ),
     "termalg": (

@@ -1,13 +1,18 @@
 """Command-line behavior: JSON in/out, exit codes, determinism."""
 
+import argparse
+import contextlib
 import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qarith import cli, logic
 from qarith.cli import main
@@ -469,9 +474,7 @@ def test_verify_suite_passes(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["failed"] == 0
-    assert {c["name"] for c in report["checks"]} == {
-        "truth_tables_dual", "de_morgan", "bit_domain",
-    }
+    assert {c["name"] for c in report["checks"]} == {"truth_tables_dual", "bit_domain"}
 
 
 @pytest.mark.parametrize("dim", ["8", "10"])
@@ -510,3 +513,142 @@ def test_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+# --- generated argv ----------------------------------------------------------
+#
+# Values per argument, in range, at a bound and out of range.  Costly
+# values (the largest ring, the most samples, class bound 3, the longest
+# enumeration) are drawn only at their bounds, and not in the combinations
+# ``_costly`` names, so the whole test stays within seconds.  "<tmp>"
+# stands for a fresh directory that holds the files named below.
+
+_FILES = {
+    "state.json": json.dumps(PAIR),
+    "zero.json": json.dumps({"registers": 2, "terms": [{"labels": [0, 4], "re": 1.0, "im": 0.0}]}),
+    "three.json": json.dumps({"registers": 3, "terms": [{"labels": [2, 3, 1], "re": 1.0, "im": 0.0}]}),
+    "long.json": '{"registers": 1, "terms": [{"label": ' + "9" * 4400 + ', "re": 1.0}]}',
+    "bad.json": "not json",
+    "config.json": json.dumps({"D": 16, "epsilon": 0.01, "class_bound": 1}),
+    "big.json": json.dumps({"class_bound": 3}),
+    "wrong.json": json.dumps({"D": "16"}),
+}
+_TERMS = [
+    "0", "7", "18", "722", str(cumulative_size(12) - 1), str(cumulative_size(12)), "9" * 5000,
+    "P(M0,T(M0,M0))", "(n+m)+(kl)", "nm", "P(M0", "", "x" * 3, "(" * 14 + "n" + ")" * 14,
+]
+_VALUES = {
+    "gate": ["plus", "minus", "times-strict", "times-reversible", "divide"],
+    "state": ["<tmp>/" + name for name in _FILES] + ["<tmp>/missing.json", "-"],
+    "--roles": ["0,1", "1,0", "0,1,2", "2,0", "5,6", "0,0", "-1,1", "a"],
+    "--repeat": ["0", "1", "3", "-1", "1000000", "x"],
+    "n": ["0", "2", "-3", "15", "16", "-99999999999999999999", "x"],
+    "m": ["0", "3", "-4", "14", "x"],
+    "--samples": ["2", "200", str(MAX_SAMPLES), "1", "0", str(MAX_SAMPLES + 1), "x"],
+    "--out": ["<tmp>/trace", "<tmp>/sub/trace", "", "<tmp>/", "<tmp>/state.json/x"],
+    "--config": ["<tmp>/config.json", "<tmp>/big.json", "<tmp>/wrong.json", "<tmp>/bad.json",
+                 "<tmp>/missing.json"],
+    "--dim": ["8", "10", "32", str(MAX_DIM), "7", "9", "0", "-8", str(MAX_DIM + 2), "x"],
+    "--epsilon": ["0.001", "0.49", "1e-300", "0.5", "0", "-1", "nan", "inf", "x"],
+    "--t-max": ["4", "1e-9", "1e300", "0", "-1", "nan", "inf", "x"],
+    "--dt": ["0.005", "0.01", "1e-9", "0.0100001", "0", "nan", "x"],
+    "--class-bound": ["0", "1", "3", "-1", "4", "x"],
+    "--seed": ["0", "7", "99999999999999999999", "-1", "x"],
+    "klass": ["0", "1", "2", "12", "13", "-1", "x"],
+    "limit": ["0", "1", "50", "100000", "100001", "-1", "x"],
+    "term": _TERMS,
+    "args": ["1", "-2", "0", "3", "2", "-1", "x", "9" * 5000],
+    "op": ["not", "and", "or", "xor"],
+    "suite": [*sorted(cli.SUITE_NAMES), "all", "none"],
+}
+
+
+def _flag(argv, flag, default):
+    return argv[argv.index(flag) + 1] if flag in argv[:-1] else default
+
+
+def _costly(argv):
+    """Whether an argument list, if valid, runs for more than about a second."""
+    command = argv[0]
+    config = {"<tmp>/config.json": ("16", "1"), "<tmp>/big.json": ("32", "3")}.get(
+        _flag(argv, "--config", None), ("32", "2")
+    )
+    dim, bound = _flag(argv, "--dim", config[0]), _flag(argv, "--class-bound", config[1])
+    if command == "verify":
+        suite = argv[1]
+        return (
+            dim == str(MAX_DIM) and suite in ("dynamics", "stopping", "all")
+            or bound == "3" and suite in ("bijection", "church", "all")
+            or bound == "2" and suite in ("church", "all")
+        )
+    if command == "enumerate":
+        return argv[2:3] == ["100000"] and argv[1] not in ("0", "1", "2")
+    if command == "evolve":
+        return _flag(argv, "--samples", "200") == str(MAX_SAMPLES) and dim == str(MAX_DIM)
+    return False
+
+
+@st.composite
+def _argv(draw):
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    command = draw(st.sampled_from(sorted(subparsers.choices)))
+    argv = [command]
+    for action in subparsers.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        flag = max(action.option_strings, key=len, default=None)
+        pool = _VALUES[flag or action.dest]
+        if flag is not None:
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(pool))]
+        elif action.nargs in ("?", "*"):
+            argv += draw(st.lists(st.sampled_from(pool), max_size=4 if action.nargs == "*" else 1))
+        elif action.dest == "term":
+            term = draw(st.sampled_from([*pool, None]))  # None: any short text
+            argv.append(draw(st.text("PTM0(),+*nmk ", max_size=16)) if term is None else term)
+        else:
+            argv.append(draw(st.sampled_from(pool)))
+    assume(not _costly(argv))
+    if draw(st.integers(0, 19)) == 19:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-h", "--"])))
+    return argv
+
+
+# Short state documents for "-", well formed or not.
+_STDIN = st.sampled_from(["", "{", "[]"]) | st.builds(
+    lambda registers, terms: json.dumps({"registers": registers, "terms": terms}),
+    st.sampled_from([1, 2, 3, 0]),
+    st.lists(
+        st.fixed_dictionaries({
+            "labels": st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+            "re": st.sampled_from([1.0, -0.5, 1e-20, 0]),
+        }),
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(_argv(), _STDIN)
+def test_any_argv_exits_cleanly(argv, stdin):
+    # Every argument list the parser's grammar allows, valid or not, ends
+    # with a documented exit code, no traceback and at most one error line.
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _FILES.items():
+            with open(f"{tmp}/{name}", "w") as f:
+                f.write(text)
+        argv = [arg.replace("<tmp>", tmp) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys, "stdin", io.StringIO(stdin))
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    text = out.getvalue() + err.getvalue()
+    assert code in (0, 1, 2, 3, 4), (argv, code)
+    assert "Traceback" not in text, argv
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

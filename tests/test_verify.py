@@ -2,22 +2,29 @@
 
 One ``verify all --seed 0`` run per module consumes the seeded generator
 exactly as the command line does; each check then becomes its own test
-case, named after its function, that prints the check's detail.
+case, named after its function, that prints the check's detail.  Each
+check also has a planted fault that makes it fail (``FAULTS``).
 """
 
+import __future__
+
 import dataclasses
+import inspect
 import re
+import sys
+import textwrap
+from collections.abc import Callable
 
 import numpy as np
 import pytest
 
-from qarith import dynamics, gates
+from qarith import dynamics, gates, logic, terms
 from qarith.config import SUITE_NAMES, Config
 from qarith.states import Ket
 from qarith.terms import MAX_CLASS_BOUND, compile_term, cumulative_size, render_term, term_of
 from qarith.verify import (
     CHURCH_BUDGET,
-    STOP_SAMPLES,
+    STOP_FINE_SAMPLES,
     STOP_T_MAX,
     SUITES,
     check_church_correspondence,
@@ -125,10 +132,10 @@ def test_church_draws_one_block_per_term(class_bound):
 @pytest.mark.parametrize("pair", [(1, 0), (4, -3)])
 @pytest.mark.parametrize("steps", [-2, -1, 1, 2, None])
 def test_stop_check_rejects_a_shifted_trace(monkeypatch, pair, steps):
-    # One run's stopping time moved by whole grid steps (or lost) must fail
-    # the check at the default epsilon, including every shift the earlier
-    # rule "within one grid step of t = 1" caught.
-    grid = STOP_T_MAX / (STOP_SAMPLES - 1)
+    # One run's stopping time moved by whole steps of the check's grid (or
+    # lost) must fail the check at the default epsilon, including every
+    # shift the earlier rule "within one grid step of t = 1" caught.
+    grid = STOP_T_MAX / (STOP_FINE_SAMPLES - 1)
     real = dynamics.detect_stopping_time
 
     def shifted(model, n, m, *rest):
@@ -167,3 +174,286 @@ def test_norm_algebra_sees_a_missing_conjugate(monkeypatch):
 def test_run_suite_rejects_a_bad_seed(seed):
     with pytest.raises(ValueError, match=re.escape(f"non-negative integer, got {seed!r}")):
         run_suite("logic", Config(), seed=seed)
+
+
+# --- planted faults ----------------------------------------------------------
+#
+# One row per check of ``verify all``: a fault planted in code that its
+# whole layer runs (a function body, a constant or a table entry), a
+# pattern the check's detail must match under it, and the other checks
+# that fail with it.  A check whose every fault also fails another check
+# restates that check.
+
+
+def _rebind(monkeypatch, old, new):
+    """Point every qarith module-level name bound to ``old`` at ``new``."""
+    for name, module in list(sys.modules.items()):
+        if name == "qarith" or name.startswith("qarith."):
+            for attr, value in list(vars(module).items()):
+                if value is old:
+                    monkeypatch.setattr(module, attr, new)
+
+
+def _edit(owner, name, *edits):
+    """A fault: ``owner.name`` recompiled from its source with each
+    (old, new) text replaced, bound wherever the original is."""
+
+    def plant(monkeypatch):
+        original = inspect.getattr_static(owner, name)
+        function = getattr(original, "func", original)  # a cached_property's
+        source = textwrap.dedent(inspect.getsource(function))
+        for old, new in edits:
+            assert source.count(old) == 1, f"{old!r} is not in {name} exactly once"
+            source = source.replace(old, new)
+        code = compile(
+            source, f"<{name} with a planted fault>", "exec",
+            flags=__future__.annotations.compiler_flag, dont_inherit=True,
+        )
+        scope: dict = {}
+        exec(code, vars(sys.modules[function.__module__]), scope)
+        mutant = scope[name]
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, mutant)
+            if hasattr(mutant, "__set_name__"):
+                mutant.__set_name__(owner, name)
+        _rebind(monkeypatch, original, mutant)
+
+    return plant
+
+
+def _entry(table, key, value):
+    """A fault: one table entry replaced."""
+    return lambda monkeypatch: monkeypatch.setitem(table, key, value)
+
+
+def _clear_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qarith."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@dataclasses.dataclass(frozen=True)
+class Fault:
+    check: str  # the check function's name
+    plant: Callable
+    detail: str  # a pattern the check's detail must match
+    others: frozenset = frozenset()  # report names of the other checks that fail
+
+
+_OR = logic.CONNECTIVES["or"]
+
+FAULTS = (
+    Fault(
+        "check_basis_orthonormality",
+        # a fast path for two one-component kets that skips the label match
+        _edit(Ket, "inner", (
+            "small, big = (",
+            "if len(self) == 1 == len(other):\n"
+            "        return next(iter(self._amps.values())).conjugate()"
+            " * next(iter(other._amps.values()))\n"
+            "    small, big = (",
+        )),
+        r"^625 pairs, worst deviation 1\.00e\+00$",
+        frozenset({"norm_algebra"}),
+    ),
+    Fault(
+        "check_norm_algebra",
+        # the tensor product conjugates its right factor
+        _edit(Ket, "tensor", ("out[ka + kb] = aa * ab", "out[ka + kb] = aa * ab.conjugate()")),
+        r"^60 sampled pairs, worst \d\.\d\de[+-]0\d$",
+    ),
+    Fault(
+        "check_distance_fixed",
+        _edit(Ket, "distance", ("math.sqrt(", "(")),  # the square root dropped
+        r"^deviation 1\.80e-01$",
+    ),
+    Fault(
+        "check_state_json",
+        # serialization conjugates every amplitude
+        _edit(Ket, "to_json_dict", ('entry["im"] = amp.imag', 'entry["im"] = -amp.imag')),
+        r"^roundtrip value drift; serialization not stable",
+    ),
+    Fault(
+        "check_zero_and_pruning",
+        # pruning compares |a|, not |a|^2, with PRUNE_EPS_SQ
+        _edit(Ket, "__init__", (
+            "if amp.real * amp.real + amp.imag * amp.imag >= PRUNE_EPS_SQ",
+            "if abs(amp) >= PRUNE_EPS_SQ",
+        )),
+        r"^sub-threshold amplitude not pruned$",
+    ),
+    Fault(
+        "check_gate_window",
+        # the multiplier's label map is off by one on one label triple
+        _edit(gates, "_label_map", (
+            "new[c] = key[a] * key[b]", "new[c] = key[a] * key[b] + (key[a] == key[b] == 32)",
+        )),
+        r"^times_rev\(32,32\)$",
+    ),
+    Fault(
+        "check_gate_norm_linearity",
+        # every gate renormalizes its output
+        _edit(Ket, "_map_labels", ("return out", "return out.normalized() if amps else out")),
+        r"worst norm drift \S+, worst linearity residual [1-9]\.\d\de\+00$",
+    ),
+    Fault(
+        "check_plus_minus_inverse",
+        # the subtractor is off by one on targets past the +-64 window
+        _edit(gates, "_label_map", (
+            "new[t] = key[t] - key[s]", "new[t] = key[t] - key[s] - (abs(key[t]) > 64)",
+        )),
+        r"round trips changed the support$",
+    ),
+    Fault(
+        "check_iterate_matches_times",
+        _edit(gates, "iterate_plus", ("range(count)", "range(1, count)")),  # one pass short
+        r"^iterate\(2,-9\)",
+    ),
+    Fault(
+        "check_program_json",
+        # a step serializes its roles backwards
+        _edit(gates.GateStep, "to_json_dict", ("list(self.roles)", "list(self.roles)[::-1]")),
+        r"^round trip drift$",
+    ),
+    Fault(
+        "check_gate_errors",
+        # a failing program blames the step after the failing one
+        _edit(gates, "run_program",
+              ("ProgramStepError(i, step, exc)", "ProgramStepError(i + 1, step, exc)")),
+        r"^wrong step attribution: step 2 ",
+    ),
+    Fault(
+        "check_whole_shift_fidelity",
+        # propagated kets read ring labels off by one
+        _edit(dynamics, "_ring_ket", ("keep - (model.half - 1)", "keep - model.half")),
+        r"worst fidelity defect 1\.00e\+00",
+    ),
+    Fault(
+        "check_numeric_vs_exact",
+        # RK4 drops its fourth-order term
+        _edit(dynamics, "_rk4_segment", ("step = eye + a / 4.0", "step = eye")),
+        r"^30 runs, worst distance [1-9]\.\d\de-06",
+    ),
+    Fault(
+        "check_subsystem_consistency",
+        # the ring register alone runs backward in time
+        _edit(dynamics, "subsystem_evolve", (
+            "_propagate(model, n, m, t), ()", "_propagate(model, n, m, t).conj(), ()",
+        )),
+        r"^36 runs, worst distance 3\.36e-01$",
+    ),
+    Fault(
+        "check_trace_bookkeeping",
+        # leakage counts the target label too
+        _edit(dynamics, "detect_stopping_time",
+              ("probs.sum(axis=1) - probs[:, tidx]", "probs.sum(axis=1)")),
+        r"worst defect 1\.00e\+00$",
+    ),
+    Fault(
+        "check_stop_near_unit",
+        # the stopping threshold is 1 - 2 epsilon
+        _edit(dynamics, "detect_stopping_time",
+              ("fidelity < 1.0 - epsilon", "fidelity < 1.0 - 2 * epsilon")),
+        r"^T\(-6,0\)=0\.9960, expected 0\.9980",
+    ),
+    Fault(
+        "check_off_peak_bound",
+        # the off-target peak is taken before the target is masked
+        _edit(dynamics, "detect_stopping_time", (
+            "probs[:, tidx] = 0.0\n        off_peak[lo:hi] = probs.max(axis=1)",
+            "off_peak[lo:hi] = probs.max(axis=1)\n        probs[:, tidx] = 0.0",
+        )),
+        r"leak past T is 1\.00e\+00$",
+    ),
+    Fault(
+        "check_superadditivity",
+        # a split is compared by its left part alone
+        _edit(dynamics, "superadditivity_table",
+              ("satisfied=t_left + t_right >=", "satisfied=t_left >=")),
+        r"^30 of 90 splits violated, first at n=-6 k=-5$",
+    ),
+    Fault(
+        "check_truth_tables",
+        # the OR circuit without its last step (p, p+q, pq) -> (p, p+q-pq, pq)
+        _entry(logic.CONNECTIVES, "or", (_OR[0], dataclasses.replace(
+            _OR[1], program=gates.GateProgram(_OR[1].program.steps[:-1])
+        ))),
+        r"^gates or\(1, 1\)$",
+    ),
+    Fault(
+        "check_bit_domain",
+        _edit(logic, "_check_bit", (" or value not in (0, 1)", "")),  # any int is a bit
+        r"^accepted \(2,\); accepted \(1, -1\)$",
+    ),
+    Fault(
+        "check_elementary_indices",
+        _edit(terms, "class_size", ("return 3", "return 4")),  # class 0 one term too big
+        r"^class sizes$",
+        frozenset({"bijection_exhaustive"}),
+    ),
+    Fault(
+        "check_golden_class1",
+        # infix names the first two arguments m, n
+        lambda monkeypatch: monkeypatch.setattr(terms, "_VAR_NAMES", "mnklpqrsabcdefgh"),
+        r"^infix\(3\); infix\(4\)",
+    ),
+    Fault(
+        "check_index_roundtrip",
+        # class 3 and up take B = 1, as class 1 does: the region overlaps class 2
+        _edit(terms, "_region_bounds", ("if k >= 2 else 1", "if k == 2 else 1")),
+        r"^roundtrip\(723\); collision\(3,723\)",
+    ),
+    Fault(
+        "check_parse_render",
+        # the parser reads P( as times and T( as plus
+        _edit(terms._Parser, "factor", (
+            'BinOp.PLUS if text == "P" else BinOp.TIMES',
+            'BinOp.TIMES if text == "P" else BinOp.PLUS',
+        )),
+        r"^prefix parse; prefix roundtrip\(1\)",
+    ),
+    Fault(
+        "check_dual_eval_examples",
+        # both routes bind the arguments right to left
+        _edit(terms, "evaluate_gates", ("args = tuple(args)", "args = tuple(args)[::-1]")),
+        r"^delta 7 args \(1, 2, 3, 4\); delta 13 args \(2, 3, 4\)$",
+    ),
+    Fault(
+        "check_bijection",
+        # the leaf gets class -1
+        _edit(terms, "class_of", ("max(term.depth - 1, 0)", "term.depth - 1")),
+        r"'kind': 'class', 'index': 0, 'term': 'M0', 'expected_class': 0, 'actual_class': -1",
+        frozenset({"index_roundtrip"}),
+    ),
+    Fault(
+        "check_church_correspondence",
+        # the ket route's multiplier reads registers 0 and 1 whatever its roles
+        _edit(gates, "_label_map", ("new[c] = key[a] * key[b]", "new[c] = key[0] * key[1]")),
+        r"'agree': True, 'basis_lane': .*'ket_route'",
+    ),
+)
+
+
+def test_every_check_has_a_planted_fault():
+    assert [fault.check for fault in FAULTS] == [fn.__name__ for fn in CHECKS]
+
+
+@pytest.mark.parametrize(
+    "fault", FAULTS, ids=[fault.check.removeprefix("check_") for fault in FAULTS]
+)
+def test_planted_fault(monkeypatch, fault):
+    _clear_caches()
+    try:
+        fault.plant(monkeypatch)
+        report = run_suite("all", Config(), seed=0)
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    names = {fn.__name__: check["name"] for fn, check in zip(CHECKS, report["checks"])}
+    failed = {check["name"]: check["detail"] for check in report["checks"] if not check["ok"]}
+    own = names[fault.check]
+    assert own in failed, f"{own} passed under its fault"
+    assert re.search(fault.detail, failed.pop(own))
+    assert set(failed) == fault.others
