@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -52,9 +52,10 @@ MAX_STEP_PHASE = 0.02
 # A stopping-time trace evaluates its time grid in row blocks of at most
 # this many amplitudes (one row when a row is longer), so its memory stays
 # bounded for any grid and ring.  Blocks this small keep the kernel's
-# temporaries in cache: at D = 1024 a 2^15 block ran about twice as fast
-# as a 2^20 one.
-TRACE_BLOCK = 1 << 15
+# temporaries in cache.  Median ms per trace with `qarith evolve`'s grid
+# (2 vCPU, 40 pairs), blocks 2^13 .. 2^17: 0.30, 0.24, 0.21, 0.18, 0.18
+# at D = 256 and 0.91, 0.70, 0.59, 0.56, 1.28 at D = 1024.
+TRACE_BLOCK = 1 << 16
 
 # Ring offsets d closer than this to zero get kernel value exactly 1.
 _KERNEL_FLAT = 1e-9
@@ -122,6 +123,19 @@ class HamiltonianModel:
         return np.exp(2j * np.pi * k * x / self.dim) / math.sqrt(self.dim)
 
     @cached_property
+    def kernel_windows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Windows of length D over (-1)^k sin(pi k / D), (-1)^k cos(pi k / D)
+        and e^{i pi k / D} for k in (-D, D); row s holds k = s - D + 1 .. s."""
+        k = np.arange(1 - self.dim, self.dim)
+        # Sines of angles in [-pi/2, pi/2] only, where they are accurate to an
+        # ulp; near +-pi the angle's own rounding costs up to 5e-14 at D = 1024.
+        sine = np.sign(k) * np.sin(np.pi * (self.half - abs(self.half - abs(k))) / self.dim)
+        cosine = np.sin(np.pi * (self.half - abs(k)) / self.dim)
+        sign = 1.0 - 2.0 * (k % 2)
+        tables = (sign * sine, sign * cosine, cosine + 1j * sine)
+        return tuple(np.lib.stride_tricks.sliding_window_view(t, self.dim) for t in tables)
+
+    @cached_property
     def shift_generator(self) -> np.ndarray:
         """The coupling operator on the ring as a dense Hermitian matrix."""
         f = self.fourier_matrix
@@ -147,12 +161,6 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _ring_start(model: HamiltonianModel, m: int) -> np.ndarray:
-    psi = np.zeros(model.dim, dtype=complex)
-    psi[model.ring_index(m)] = 1.0
-    return psi
-
-
 def _dirichlet_ratio(
     model: HamiltonianModel, m: int, shifts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,50 +169,46 @@ def _dirichlet_ratio(
     The pulse exp(-i s G) with G the shift generator sends |m> to the
     Dirichlet kernel  e^{i pi d / D} sin(pi d) / (D sin(pi d / D))  at
     label x, with d = x - m - s.  The kernel has period D in d, so the
-    whole part of the shift moves |m> to a label q (``landing``) reduced
-    into the window, and d = x - q - f with the fractional part f in
-    [-1/2, 1/2] lies in (-D, D).  The denominator then vanishes only at
-    d = 0, where the amplitude is 1.
+    whole part of the shift moves |m> to a label q reduced into the
+    window, and d = k - f with k = x - q in (-D, D) and the fractional
+    part f in [-1/2, 1/2]: the denominator vanishes only at d = 0, where
+    the amplitude is 1.  As sin(pi d) = -(-1)^k sin(pi f), the angle
+    difference over the tables S_k, C_k of ``kernel_windows`` gives
 
-    Returns the signed real ratio sin(pi d) / (D sin(pi d / D)), one row
-    per shift, with the integer offsets x - q and the fractions f that
-    its phase factor needs.  The phase has modulus 1, so the squared
-    ratio is the ring's probability row.
+        ratio = sin(pi f) / (D cos(pi f / D) [C_k tan(pi f / D) - S_k])
+
+    with no sine per label.  Returns the ratio, one row per shift, each
+    row's window start, and the fractions f its phase needs.  The phase
+    has modulus 1, so the squared ratio is the probability row.
     """
     dim = model.dim
-    half = model.half
+    sines, cosines, _ = model.kernel_windows
     whole = np.rint(shifts)
     frac = shifts - whole  # exact
-    landing = np.mod(m + whole + (half - 1), dim) - (half - 1)
-    offset = model.ring_labels - landing[:, None]  # integers in (-D, D)
-    delta = offset - frac[:, None]
-    # sin(pi d) = -(-1)^(x - q) sin(pi f): integer shifts give exact
-    # zeros away from the landing label.
-    label_sign = 1.0 - 2.0 * (model.ring_labels % 2)
-    ratio = np.outer((2.0 * np.mod(landing, 2.0) - 1.0) * np.sin(np.pi * frac), label_sign)
-    denom = delta * (np.pi / dim)
-    np.sin(denom, out=denom)
-    denom *= dim
+    # q's window starts at D/2 - q: D - 1 minus the ring index of q.
+    starts = (dim - 1) - np.mod(m + whole + (model.half - 1), dim).astype(np.intp)
+    angle = frac * (np.pi / dim)
+    ratio = cosines[starts]
+    ratio *= np.tan(angle)[:, None]
+    ratio -= sines[starts]
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(ratio, denom, out=ratio)
+        np.divide((np.sin(np.pi * frac) / (dim * np.cos(angle)))[:, None], ratio, out=ratio)
     # |d| >= 1/2 away from x = q, so |d| < _KERNEL_FLAT only at x = q in
-    # rows with |f| < _KERNEL_FLAT.  Below _KERNEL_FLAT the kernel is 1 to double
-    # precision (it deviates by about 1.6 d^2), and D sin(pi d / D) could
-    # underflow to zero.
+    # rows with |f| < _KERNEL_FLAT.  There the kernel is 1 to double precision
+    # (it deviates by about 1.6 d^2), and tan(pi f / D) could underflow to zero.
     flat = np.flatnonzero(np.abs(frac) < _KERNEL_FLAT)
-    ratio[flat, model.ring_index(landing[flat]).astype(np.intp)] = 1.0
-    return ratio, offset, frac
+    ratio[flat, (dim - 1) - starts[flat]] = 1.0
+    return ratio, starts, frac
 
 
 def _dirichlet_rows(model: HamiltonianModel, m: int, shifts: np.ndarray) -> np.ndarray:
     """Ring amplitudes of |m> moved by each of ``shifts`` labels, one row per shift."""
-    dim = model.dim
-    ratio, offset, frac = _dirichlet_ratio(model, m, shifts)
-    # e^{i pi d / D} = e^{i pi (x - q) / D} e^{-i pi f / D}, the first
-    # factor looked up by the integer offset, so it is exactly 1 at x = q.
-    turns = np.exp(1j * np.pi * np.arange(1 - dim, dim) / dim)
-    phase = turns[offset.astype(np.intp) + (dim - 1)] * np.exp(-1j * np.pi * frac / dim)[:, None]
-    return ratio * phase
+    ratio, starts, frac = _dirichlet_ratio(model, m, shifts)
+    # e^{i pi d / D} = e^{i pi k / D} e^{-i pi f / D}, the first factor a
+    # window of the phase table, so it is exactly 1 at x = q.
+    rows = model.kernel_windows[2][starts] * np.exp(-1j * np.pi * frac / model.dim)[:, None]
+    rows *= ratio
+    return rows
 
 
 def _closed_form(model: HamiltonianModel) -> bool:
@@ -246,7 +250,7 @@ def _pulse_probabilities(model: HamiltonianModel, n: int, m: int) -> Callable[[n
     """
     if _closed_form(model):
         c = model.coupling_value(n)
-        return lambda t_on: _dirichlet_ratio(model, m, c * t_on / model.hbar)[0] ** 2
+        return lambda t_on: np.square(r := _dirichlet_ratio(model, m, c * t_on / model.hbar)[0], out=r)
     propagate = _ring_propagator(model, n, m)
 
     def probabilities(t_on: np.ndarray) -> np.ndarray:
@@ -332,8 +336,7 @@ def evolve_numeric(
 
     free_rate = (float(np.max(np.abs(model.ring_energies))) + abs(ea)) / model.hbar
     on_rate = free_rate + abs(c) * math.pi / model.hbar
-    psi = _ring_start(model, m)
-    psi = _rk4_segment(h_on, psi, t_on, max_step(on_rate))
+    psi = _rk4_segment(h_on, eye[model.ring_index(m)].astype(complex), t_on, max_step(on_rate))
     # With no free term (the default model) the state is frozen after the
     # pulse, and RK4 by a zero H is the identity.
     if h_free.any():
@@ -496,13 +499,9 @@ def superadditivity_table(
     so each row asks whether two easier additions take at least as long
     in total as the one they compose to.
     """
-    cache: dict[tuple[int, int], float | None] = {}
-
+    @cache
     def stop(nn: int, mm: int) -> float | None:
-        key = (nn, mm)
-        if key not in cache:
-            cache[key] = detect_stopping_time(model, nn, mm, epsilon, t_max, samples).stopping_time
-        return cache[key]
+        return detect_stopping_time(model, nn, mm, epsilon, t_max, samples).stopping_time
 
     rows: list[SuperadditivityRow] = []
     for n in range(-n_max, n_max + 1):

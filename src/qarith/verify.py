@@ -414,15 +414,22 @@ def check_subsystem_consistency(config: Config, rng: np.random.Generator) -> Che
 
 # --- stopping times ----------------------------------------------------------
 
-# Grid pinned for stopping-time checks, reaching well past the pulse.
-STOP_T_MAX = 4.0
+# trace_bookkeeping's grid size over [0, t_max].
 STOP_SAMPLES = 200
-# stop_near_unit's finer grid, of step 0.001.  At epsilon = 1e-3 the
-# fidelity crosses 1 - 2 epsilon about 0.007 / |n| after it crosses
-# 1 - epsilon: less than the coarse step of 0.02, but more than this
-# step for every |n| <= 6, so on this grid a threshold off by a factor
-# of two moves every stopping time the check compares.
-STOP_FINE_SAMPLES = 4001
+# Grid steps of the other checks: that of 200 samples over [0, 4], and
+# stop_near_unit's finer one.  At epsilon = 1e-3 the fidelity crosses
+# 1 - 2 epsilon about 0.007 / |n| after it crosses 1 - epsilon: less than
+# the coarse step, but more than the fine step for every |n| <= 6, so on
+# the fine grid a threshold off by a factor of two moves every stopping
+# time the check compares.
+STOP_STEP = 4.0 / 199
+STOP_FINE_STEP = 0.001
+
+
+def _stop_grid(config: Config, step: float) -> tuple[float, int]:
+    """Horizon and size of the grid of ``step`` over [0, t_max], at most MAX_SAMPLES."""
+    steps = min(dynamics.MAX_SAMPLES - 1, max(1, math.floor(config.t_max / step + 1e-9)))
+    return min(config.t_max, steps * step), steps + 1
 
 
 def _stop_n_max(config: Config) -> int:
@@ -461,20 +468,17 @@ def check_trace_bookkeeping(config: Config, rng: np.random.Generator) -> CheckRe
 
 def check_stop_near_unit(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
+    t_max, samples = _stop_grid(config, STOP_FINE_STEP)
     problems = []
     count = 0
     for n in range(-_stop_n_max(config), _stop_n_max(config) + 1):
         if n == 0:
             continue
-        expected = dynamics.closed_form_stopping_time(
-            model, n, config.epsilon, STOP_T_MAX, STOP_FINE_SAMPLES
-        )
+        expected = dynamics.closed_form_stopping_time(model, n, config.epsilon, t_max, samples)
         for m in (0, 3, -3):
             if abs(n) + abs(m) >= model.half:
                 continue
-            trace = dynamics.detect_stopping_time(
-                model, n, m, config.epsilon, STOP_T_MAX, STOP_FINE_SAMPLES
-            )
+            trace = dynamics.detect_stopping_time(model, n, m, config.epsilon, t_max, samples)
             count += 1
             if trace.stopping_time is None:
                 problems.append(f"no stopping time for ({n},{m})")
@@ -492,11 +496,10 @@ def check_stop_near_unit(config: Config, rng: np.random.Generator) -> CheckResul
 
 def check_off_peak_bound(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
+    t_max, samples = _stop_grid(config, STOP_STEP)
     worst = 0.0
     for n, m in _probe_pairs(config):
-        trace = dynamics.detect_stopping_time(
-            model, n, m, config.epsilon, STOP_T_MAX, STOP_SAMPLES
-        )
+        trace = dynamics.detect_stopping_time(model, n, m, config.epsilon, t_max, samples)
         if trace.off_peak_past_stop is None:
             return CheckResult("off_peak_bound", False, f"no stopping time for ({n},{m})")
         worst = max(worst, trace.off_peak_past_stop)
@@ -508,12 +511,9 @@ def check_off_peak_bound(config: Config, rng: np.random.Generator) -> CheckResul
 
 def check_superadditivity(config: Config, rng: np.random.Generator) -> CheckResult:
     model = dynamics.build_model(config.dim)
+    t_max, samples = _stop_grid(config, STOP_STEP)
     rows = dynamics.superadditivity_table(
-        model,
-        n_max=_stop_n_max(config),
-        epsilon=config.epsilon,
-        t_max=STOP_T_MAX,
-        samples=STOP_SAMPLES,
+        model, n_max=_stop_n_max(config), epsilon=config.epsilon, t_max=t_max, samples=samples
     )
     bad = [r for r in rows if not r.satisfied]
     detail = (

@@ -495,6 +495,15 @@ def test_verify_stopping_at_wide_epsilon(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_verify_stopping_runs_on_t_max(capsys):
+    # No run stops before t = 0.5, so the checks that look for a stopping
+    # time fail on that horizon; the bookkeeping check still passes.
+    code, out, err = run_cli(capsys, "verify", "stopping", "--t-max", "0.5", "--seed", "0")
+    assert (code, err) == (1, "")
+    failed = {check["name"] for check in json.loads(out)["checks"] if not check["ok"]}
+    assert failed == {"stop_near_unit", "off_peak_bound", "superadditivity"}
+
+
 def test_verify_negative_seed_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "logic", "--seed", "-1")
     assert code == 2 and out == ""

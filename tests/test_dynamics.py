@@ -189,6 +189,48 @@ def test_closed_form_edge_cases_match_expm_oracle(coupling, t):
     assert np.linalg.norm(got - want) <= 1e-12
 
 
+def reference_kernel(model, m, shifts):
+    """The ring kernel of |m> moved by each shift, one np.sin per label.
+
+    Returns the real ratio sin(pi d) / (D sin(pi d / D)) and the
+    amplitudes e^{i pi d / D} times it, at d = k - f for the offset
+    k = x - q from the landing label q of the whole part of the shift and
+    its fraction f.  The numerator is -(-1)^k sin(pi f), exact at integer
+    shifts.  The denominator takes its sine at d - D or d + D when
+    |k| > D/2, which only flips its sign, so that the angle stays near
+    [-pi/2, pi/2]: near +-pi its own rounding would cost up to 1.2e-13
+    at D = 1024.
+    """
+    dim, half = model.dim, model.half
+    whole = np.rint(shifts)
+    frac = shifts - whole
+    landing = np.mod(m + whole + (half - 1), dim) - (half - 1)
+    offset = model.ring_labels - landing[:, None]
+    wrap = np.where(offset > half, dim, np.where(offset < -half, -dim, 0))
+    d = offset - frac[:, None]
+    numerator = -(1.0 - 2.0 * (offset % 2)) * np.sin(np.pi * frac)[:, None]
+    denominator = dim * np.sin(np.pi * ((offset - wrap) - frac[:, None]) / dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(wrap == 0, 1.0, -1.0) * numerator / denominator
+    ratio[np.abs(d) < dynamics._KERNEL_FLAT] = 1.0
+    return ratio, ratio * np.exp(1j * np.pi * d / dim)
+
+
+@pytest.mark.parametrize("dim", [8, 32, 256, 1024])
+def test_kernel_matches_per_label_sines(dim):
+    # Integer shifts, half-integer shifts (|f| = 1/2), shifts within
+    # _KERNEL_FLAT of an integer, and shifts past +-D that wrap the ring.
+    model = build_model(dim)
+    whole = np.unique(np.r_[np.arange(-6.0, 7.0), np.linspace(-dim - 2, dim + 2, 41).round()])
+    tiny = 0.5 * dynamics._KERNEL_FLAT
+    shifts = np.concatenate([whole, whole + 0.5, whole - 0.5, whole + tiny, whole - tiny,
+                             [2.5 * dim + 0.25, -3 * dim - 0.375]])
+    for m in sorted({1 - model.half, -3, 0, 2, model.half}):
+        ratio, rows = reference_kernel(model, m, shifts)
+        assert np.max(np.abs(dynamics._dirichlet_ratio(model, m, shifts)[0] - ratio)) <= 1e-14
+        assert np.max(np.abs(dynamics._dirichlet_rows(model, m, shifts) - rows)) <= 1e-14
+
+
 def test_hbar_rescales_time():
     slow = build_model(32, hbar=2.0)
     fast = build_model(32)
@@ -390,7 +432,7 @@ def test_default_route_builds_no_dense_matrix():
     assert "shift_generator" not in model.__dict__
 
 
-@pytest.mark.parametrize("dim", [8, 32, 256])
+@pytest.mark.parametrize("dim", [8, 32, 256, 1024])
 @pytest.mark.parametrize(
     "hbar,fraction", [(1.0, 0.0), (2.0, 0.0), (1.0, 0.37)], ids=["default", "hbar", "coupling"]
 )
@@ -398,8 +440,8 @@ def test_trace_fidelity_matches_point_evolution(dim, hbar, fraction):
     n, m = dim // 4 - 1, 1
     model = build_model(dim, hbar=hbar, coupling={n: n + fraction})
     trace = detect_stopping_time(model, n, m, 1e-3, 1.5, 200)
-    # at D = 256 the grid spans more than one row block of the trace
-    assert dim < 256 or TRACE_BLOCK // dim < 200
+    # at D = 1024 the 134 grid rows up to t = 1 span more than one row block
+    assert dim < 1024 or TRACE_BLOCK // dim < 134
     for t, fid in zip(trace.times, trace.fidelity):
         want = abs(evolve_exact(model, n, m, t).amplitude((n, n + m))) ** 2
         assert abs(fid - want) <= 1e-12, t

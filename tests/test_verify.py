@@ -24,8 +24,7 @@ from qarith.states import Ket
 from qarith.terms import MAX_CLASS_BOUND, compile_term, cumulative_size, render_term, term_of
 from qarith.verify import (
     CHURCH_BUDGET,
-    STOP_FINE_SAMPLES,
-    STOP_T_MAX,
+    STOP_FINE_STEP,
     SUITES,
     check_church_correspondence,
     check_norm_algebra,
@@ -135,14 +134,13 @@ def test_stop_check_rejects_a_shifted_trace(monkeypatch, pair, steps):
     # One run's stopping time moved by whole steps of the check's grid (or
     # lost) must fail the check at the default epsilon, including every
     # shift the earlier rule "within one grid step of t = 1" caught.
-    grid = STOP_T_MAX / (STOP_FINE_SAMPLES - 1)
     real = dynamics.detect_stopping_time
 
     def shifted(model, n, m, *rest):
         trace = real(model, n, m, *rest)
         if (n, m) != pair:
             return trace
-        stop = None if steps is None else trace.stopping_time + steps * grid
+        stop = None if steps is None else trace.stopping_time + steps * STOP_FINE_STEP
         return dataclasses.replace(trace, stopping_time=stop)
 
     config = Config()
@@ -457,3 +455,23 @@ def test_planted_fault(monkeypatch, fault):
     assert own in failed, f"{own} passed under its fault"
     assert re.search(fault.detail, failed.pop(own))
     assert set(failed) == fault.others
+
+
+@pytest.mark.parametrize(
+    "edit,failing",
+    [
+        (("sign * sine, sign * cosine,", "sine, cosine,"), {"numeric_vs_exact"}),
+        (
+            ("sign * sine, sign * cosine,", "sign * cosine, sign * sine,"),
+            {"numeric_vs_exact", "stop_near_unit"},
+        ),
+        (("cosine + 1j * sine", "cosine - 1j * sine"), {"numeric_vs_exact"}),
+    ],
+    ids=["sign-dropped", "sine-cosine-swapped", "phase-conjugated"],
+)
+def test_kernel_table_faults(monkeypatch, edit, failing):
+    # Faults in the closed-form kernel's tables.  Squared probabilities
+    # hide a lost sign (-1)^k or a conjugated phase: only RK4 sees them.
+    _edit(dynamics.HamiltonianModel, "kernel_windows", edit)(monkeypatch)
+    report = run_suite("all", Config(), seed=0)
+    assert {check["name"] for check in report["checks"] if not check["ok"]} == failing
