@@ -11,6 +11,7 @@ start at 0.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,7 +72,28 @@ class ProgramStepError(RuntimeError):
         super().__init__(f"step {step_index} ({step.kind.value} {step.roles}): {cause}")
 
 
+# ARITY's kinds by arity, for the fast path of _check_roles: an Enum
+# member hashes in Python, so ``in`` on a short tuple beats ARITY.get.
+_TWO_ROLES = tuple(k for k, n in ARITY.items() if n == 2)
+_THREE_ROLES = tuple(k for k, n in ARITY.items() if n == 3)
+
+
 def _check_roles(registers: int, kind: GateKind, roles: tuple[int, ...]) -> None:
+    # Fast accept: plain ints (no bools or other subclasses), distinct and
+    # in range, as many as the gate takes.  Anything else, valid or not,
+    # goes through the checks below, which name the fault.
+    if kind in _TWO_ROLES and len(roles) == 2:
+        s, t = roles
+        if type(s) is int and type(t) is int and s != t and 0 <= s < registers and 0 <= t < registers:
+            return
+    elif kind in _THREE_ROLES and len(roles) == 3:
+        a, b, c = roles
+        if (
+            type(a) is int and type(b) is int and type(c) is int
+            and a != b and a != c and b != c
+            and 0 <= a < registers and 0 <= b < registers and 0 <= c < registers
+        ):
+            return
     arity = ARITY.get(kind)
     if arity is None:
         # apply_gate hands any other kind to apply_times, which says so.
@@ -198,8 +220,15 @@ def apply_gate(state: Ket, kind: GateKind, roles: tuple[int, ...] | None = None)
     return apply_times(state, kind, roles)
 
 
-@dataclass(frozen=True)
-class GateStep:
+class GateStep(namedtuple("GateStep", ("kind", "roles"))):
+    """One gate application: a ``GateKind`` and its register roles.
+
+    An immutable named tuple, cheap to build: compiling a term builds one
+    per gate.
+    """
+
+    __slots__ = ()
+
     kind: GateKind
     roles: tuple[int, ...]
 

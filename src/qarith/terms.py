@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
+from itertools import count
 
 from .gates import ArityError, Circuit, GateKind, GateProgram, GateStep
 
@@ -66,6 +68,11 @@ class Node:
 
 
 Term = FreeVar | Node
+
+# Bound once: looking up an Enum member costs more than the per-node work
+# of the tree walks below.
+_SUM = BinOp.PLUS
+_ADDER, _MULTIPLIER = GateKind.PLUS, GateKind.TIMES_REVERSIBLE
 
 FREE = FreeVar()
 
@@ -201,25 +208,24 @@ def render_term(term: Term) -> str:
 
 def render_infix(term: Term) -> str:
     """Infix form with fresh single-letter arguments, products by juxtaposition."""
-    counter = [0]
+    return _infix(term, map(_var_name, count()))
 
-    def next_name() -> str:
-        i = counter[0]
-        counter[0] += 1
-        return _VAR_NAMES[i] if i < len(_VAR_NAMES) else f"x{i}"
 
-    def wrap(text: str, child: Term) -> str:
-        return text if isinstance(child, FreeVar) and len(text) == 1 else f"({text})"
+def _var_name(i: int) -> str:
+    return _VAR_NAMES[i] if i < len(_VAR_NAMES) else f"x{i}"
 
-    def go(t: Term) -> str:
-        if isinstance(t, FreeVar):
-            return next_name()
-        lhs, rhs = go(t.left), go(t.right)
-        if t.op is BinOp.PLUS:
-            return f"{wrap(lhs, t.left)}+{wrap(rhs, t.right)}"
-        return f"{wrap(lhs, t.left)}{wrap(rhs, t.right)}"
 
-    return go(term)
+def _wrap(text: str, child: Term) -> str:
+    return text if isinstance(child, FreeVar) and len(text) == 1 else f"({text})"
+
+
+def _infix(t: Term, names: Iterator[str]) -> str:
+    if isinstance(t, FreeVar):
+        return next(names)
+    lhs, rhs = _infix(t.left, names), _infix(t.right, names)
+    if t.op is _SUM:
+        return f"{_wrap(lhs, t.left)}+{_wrap(rhs, t.right)}"
+    return f"{_wrap(lhs, t.left)}{_wrap(rhs, t.right)}"
 
 
 class TermSyntaxError(ValueError):
@@ -350,16 +356,15 @@ def evaluate_oracle(term: Term, args: tuple[int, ...]) -> int:
     for v in args:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"arguments must be integers, got {v!r}")
-    it = iter(args)
+    return _oracle(term, iter(args))
 
-    def go(t: Term) -> int:
-        if isinstance(t, FreeVar):
-            return next(it)
-        lhs = go(t.left)
-        rhs = go(t.right)
-        return lhs + rhs if t.op is BinOp.PLUS else lhs * rhs
 
-    return go(term)
+def _oracle(t: Term, args: Iterator[int]) -> int:
+    if isinstance(t, FreeVar):
+        return next(args)
+    lhs = _oracle(t.left, args)
+    rhs = _oracle(t.right, args)
+    return lhs + rhs if t.op is _SUM else lhs * rhs
 
 
 @lru_cache(maxsize=None)
@@ -371,32 +376,34 @@ def compile_term(term: Term) -> Circuit:
     """
     n = term.arity
     steps: list[GateStep] = []
-    next_leaf = [0]
     next_ancilla = [n]
-
-    def emit(t: Term) -> int:
-        if isinstance(t, FreeVar):
-            reg = next_leaf[0]
-            next_leaf[0] += 1
-            return reg
-        lhs = emit(t.left)
-        rhs = emit(t.right)
-        if t.op is BinOp.PLUS:
-            # Target keeps the sum; the source register stays intact.
-            steps.append(GateStep(GateKind.PLUS, (lhs, rhs)))
-            return rhs
-        out = next_ancilla[0]
-        next_ancilla[0] += 1
-        steps.append(GateStep(GateKind.TIMES_REVERSIBLE, (lhs, rhs, out)))
-        return out
-
-    result = emit(term)
+    result = _emit(term, 0, steps, next_ancilla)
     return Circuit(
         program=GateProgram(tuple(steps)),
         arity=n,
         constants=(0,) * (next_ancilla[0] - n),
         result_register=result,
     )
+
+
+def _emit(t: Term, leaf: int, steps: list[GateStep], next_ancilla: list[int]) -> int:
+    """Append the steps computing ``t`` and return the register holding its value.
+
+    The leaves of ``t`` sit in registers ``leaf`` onwards;
+    ``next_ancilla[0]`` is the next unused ancilla register.
+    """
+    if isinstance(t, FreeVar):
+        return leaf
+    lhs = _emit(t.left, leaf, steps, next_ancilla)
+    rhs = _emit(t.right, leaf + t.left.arity, steps, next_ancilla)
+    if t.op is _SUM:
+        # Target keeps the sum; the source register stays intact.
+        steps.append(GateStep(_ADDER, (lhs, rhs)))
+        return rhs
+    out = next_ancilla[0]
+    next_ancilla[0] += 1
+    steps.append(GateStep(_MULTIPLIER, (lhs, rhs, out)))
+    return out
 
 
 @dataclass(frozen=True)

@@ -143,6 +143,69 @@ def test_role_validation():
         apply_plus(basis_ket(1, 2), (False, True))
 
 
+def reference_check_roles(registers, kind, roles):
+    """The role check without its fast accept path: every rule, in order."""
+    arity = ARITY.get(kind)
+    if arity is None:
+        raise ValueError(f"not a multiplier mode: {kind!r}")
+    if len(roles) != arity:
+        raise ValueError(f"{kind.value} takes {arity} roles, got {roles}")
+    if len(set(roles)) != len(roles):
+        raise ValueError(f"roles must be distinct registers, got {roles}")
+    for r in roles:
+        if not isinstance(r, int) or isinstance(r, bool) or r < 0 or r >= registers:
+            raise ValueError(f"role {r!r} out of range for a {registers}-register state")
+
+
+class Register(int):
+    """An int subclass: accepted as a role, though not on the fast path."""
+
+
+NOT_A_KIND = object()
+
+
+@st.composite
+def role_steps(draw):
+    """A register count and steps whose roles are mostly near-valid.
+
+    Each step starts from distinct registers, as many as its gate takes
+    or another count, and then has up to two roles made negative, pushed
+    past the register count, repeated, or turned into a bool or an int
+    subclass; some roles come as lists.
+    """
+    registers = draw(st.integers(0, 6))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from([*GateKind, NOT_A_KIND]))
+        size = draw(st.sampled_from([ARITY.get(kind, 2), 0, 1, 2, 3, 4]))
+        roles = list(draw(st.permutations(range(max(registers, size))))[:size])
+        for _ in range(draw(st.integers(0, 2)) if size else 0):
+            i = draw(st.integers(0, size - 1))
+            roles[i] = draw(st.sampled_from([
+                -1, -2, registers, registers + 1, *roles, True, False, Register(roles[i]),
+            ]))
+        steps.append(GateStep(kind, roles if draw(st.integers(0, 8)) == 4 else tuple(roles)))
+    return registers, tuple(steps)
+
+
+def _role_outcome(check, registers, step):
+    try:
+        check(registers, step.kind, step.roles)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(derandomize=True, max_examples=500, database=None, deadline=None)
+@given(role_steps())
+def test_role_check_matches_reference(case):
+    registers, steps = case
+    outcomes = [_role_outcome(reference_check_roles, registers, step) for step in steps]
+    assert [_role_outcome(gates._check_roles, registers, step) for step in steps] == outcomes
+    valid = next((i for i, outcome in enumerate(outcomes) if outcome is not None), len(steps))
+    assert gates._valid_steps(registers, steps) == valid
+
+
 def test_circuit_layout_and_run():
     # (a, b, 0) -> (a, b, ab) -> (a, b + ab, ab), read off register 1
     circuit = Circuit(
@@ -183,6 +246,22 @@ def test_program_computes_sum_times_factor():
 def test_program_json_roundtrip():
     doc = GateProgram((GateStep(GateKind.PLUS, (0, 1)),)).to_json_dict()
     assert doc == {"steps": [{"gate": "PLUS", "roles": [0, 1]}]}
+
+
+def test_gate_step_is_an_immutable_value():
+    step = GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2))
+    assert repr(step) == "GateStep(kind=<GateKind.TIMES_REVERSIBLE: 'TIMES_REVERSIBLE'>, roles=(0, 1, 2))"
+    twin = GateStep(kind=GateKind.TIMES_REVERSIBLE, roles=(0, 1, 2))
+    assert twin == step and hash(twin) == hash(step)
+    assert step != GateStep(GateKind.TIMES_REVERSIBLE, (1, 0, 2))
+    assert step != GateStep(GateKind.TIMES_STRICT, (0, 1))
+    assert len({step, twin, GateStep(GateKind.PLUS, (0, 1))}) == 2
+    for each in (step, GateStep(GateKind.MINUS, (3, 0))):
+        assert GateStep.from_json_dict(each.to_json_dict()) == each
+    for name in ("kind", "roles", "other"):
+        with pytest.raises(AttributeError):
+            setattr(step, name, None)
+    assert step == GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2))
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,13 @@ def test_import_leaves_numpy_out(module):
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_leaves_typing_out():
+    # Every CLI start pays for what qarith.cli imports.  -S keeps site
+    # hooks of the interpreter's installation from importing typing first.
+    proc = run_python("-S", "-c", "import sys, qarith.cli; print('typing' in sys.modules)")
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize(
     "argv,stdin,numpy_loaded,code",
     [

@@ -1,5 +1,6 @@
 """Term algebra: grading, canonical indexing, text forms, dual evaluation."""
 
+import gc
 import itertools
 import json
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qarith import gates
+from qarith.gates import GateKind, GateProgram, GateStep
 from qarith.logic import eval_with_gates
 from qarith.states import Ket
 from qarith.terms import (
@@ -16,6 +18,7 @@ from qarith.terms import (
     MAX_TERM_DEPTH,
     ArityError,
     BinOp,
+    FreeVar,
     Node,
     TermSyntaxError,
     arity,
@@ -257,22 +260,81 @@ def test_compiled_structure():
 
 
 def test_circuit_checks_its_roles_once(monkeypatch):
-    # A circuit checks its program's roles when built; a bare program run
-    # on labels has no layout, so run_basis checks every step every call.
-    calls = []
-    real = gates._check_roles
-    monkeypatch.setattr(gates, "_check_roles", lambda *a: calls.append(a) or real(*a))
+    # A circuit sweeps its program's roles once, when built; a bare program
+    # run on labels has no layout, so run_basis sweeps on every call.
+    sweeps = []
+    real = gates._valid_steps
+    monkeypatch.setattr(gates, "_valid_steps", lambda *a: sweeps.append(a) or real(*a))
     term = term_of(500)
     circuit = compile_term.__wrapped__(term)
-    steps = len(circuit.program)
-    assert len(calls) == steps > 0
+    assert len(sweeps) == 1 and len(circuit.program) > 0
+    assert sweeps[0] == (circuit.registers, circuit.program.steps)
     args = tuple(range(1, term.arity + 1))
     for _ in range(100):
         circuit.run(args)
-    assert len(calls) == steps
+    assert len(sweeps) == 1
     for _ in range(2):
         gates.run_basis(circuit.program, circuit.initial_labels(args))
-    assert len(calls) == 3 * steps
+    assert len(sweeps) == 3
+
+
+def reference_compile(term):
+    """The emitter as recursive closures over shared counters: the reference
+    for compile_term's module-level walk."""
+    n = arity(term)
+    steps = []
+    next_leaf = [0]
+    next_ancilla = [n]
+
+    def emit(t):
+        if isinstance(t, FreeVar):
+            reg = next_leaf[0]
+            next_leaf[0] += 1
+            return reg
+        lhs = emit(t.left)
+        rhs = emit(t.right)
+        if t.op is BinOp.PLUS:
+            steps.append(GateStep(GateKind.PLUS, (lhs, rhs)))
+            return rhs
+        out = next_ancilla[0]
+        next_ancilla[0] += 1
+        steps.append(GateStep(GateKind.TIMES_REVERSIBLE, (lhs, rhs, out)))
+        return out
+
+    result = emit(term)
+    return gates.Circuit(GateProgram(tuple(steps)), n, (0,) * (next_ancilla[0] - n), result)
+
+
+def test_compile_matches_reference():
+    for term in _shape_sample():
+        compiled, expected = compile_term.__wrapped__(term), reference_compile(term)
+        assert compiled.program.steps == expected.program.steps
+        assert all(type(step) is GateStep for step in compiled.program.steps)
+        assert (compiled.arity, compiled.constants, compiled.result_register) == (
+            expected.arity, expected.constants, expected.result_register,
+        )
+
+
+def test_cold_evaluation_leaves_no_reference_cycles():
+    # Every tree walk is a module-level function, so a call frees all it
+    # made without the cyclic collector.
+    rng = np.random.default_rng(15)
+    lo, hi = cumulative_size(2), cumulative_size(3)
+    cases = []
+    for delta in rng.integers(lo, hi, size=200):
+        term = term_of(int(delta))
+        cases.append((term, tuple(int(v) for v in rng.integers(-9, 10, size=term.arity))))
+    compile_term.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for term, args in cases:
+            evaluate_gates(term, args).to_json()
+        for term, _ in cases[:50]:
+            render_infix(term)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_dual_evaluation_examples():
