@@ -4,12 +4,9 @@ The control register couples to a ring of D labels through the
 Hermitian generator of the unit cyclic shift.  The coupling acts as a
 pulse of unit duration: by the end of the pulse the ring register has
 advanced by the control label, so the interaction realizes the adder.
-Free single-register terms act the whole time and default to zero, so
-with the default model the state is frozen once the pulse ends.  The
-free terms are diagonal in the label basis, so for every model the label
-probabilities are frozen once the pulse ends: a stopping-time trace
-evaluates one row per grid time up to the first time at or past the
-pulse end and reuses that row for the later times.
+Nothing acts after the pulse, so the state is frozen once it ends: a
+stopping-time trace evaluates one row per grid time up to the first time
+at or past the pulse end and reuses that row for the later times.
 
 Ring labels occupy the symmetric window -D/2+1 .. D/2.  A pair (n, m)
 is representable only while |n| + |m| < D/2, which keeps the sum n + m
@@ -22,7 +19,6 @@ import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import ClassVar
 
 import numpy as np
 
@@ -67,18 +63,13 @@ class HamiltonianModel:
 
     ``coupling`` overrides the control-label eigenvalue of the coupling
     operator (default: the label itself, which makes the pulse add the
-    control into the ring).  ``energy_a`` and ``energy_b`` are optional
-    free diagonal terms on the control and ring registers, keyed by
-    label, defaulting to zero.
+    control into the ring).  Nothing acts after the pulse, so the state
+    is frozen once it ends.
     """
-
-    generator_kind: ClassVar[str] = "cyclic-shift-generator"
 
     dim: int = 32
     hbar: float = 1.0
     coupling: Mapping[int, float] = field(default_factory=dict)
-    energy_a: Mapping[int, float] = field(default_factory=dict)
-    energy_b: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
@@ -96,9 +87,6 @@ class HamiltonianModel:
 
     def coupling_value(self, n: int) -> float:
         return float(self.coupling.get(n, n))
-
-    def energy_a_value(self, n: int) -> float:
-        return float(self.energy_a.get(n, 0.0))
 
     def ring_index(self, label: int) -> int:
         return (label + self.half - 1) % self.dim
@@ -143,7 +131,8 @@ class HamiltonianModel:
 
     @cached_property
     def ring_energies(self) -> np.ndarray:
-        return np.array([float(self.energy_b.get(int(l), 0.0)) for l in self.ring_labels])
+        # No free ring term; kept because perfbench/ring_dynamics.py's set-up reads it.
+        return np.zeros(self.dim)
 
     def check_window(self, n: int, m: int) -> None:
         if abs(n) + abs(m) >= self.half:
@@ -211,61 +200,26 @@ def _dirichlet_rows(model: HamiltonianModel, m: int, shifts: np.ndarray) -> np.n
     return rows
 
 
-def _closed_form(model: HamiltonianModel) -> bool:
-    """Whether the ring state has the closed form (no free ring term)."""
-    return not any(model.energy_b.values())
-
-
 def _ring_propagator(model: HamiltonianModel, n: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
     """Map from a vector of times to the ring amplitudes of (n, m), one row
-    per time, without the control phase.
-
-    The default model (no free ring term) takes the closed form and never
-    builds a dense matrix; otherwise the pulse Hamiltonian is
-    diagonalized once here and every time reuses its eigenbasis.
-    """
+    per time, from the closed form; no dense matrix is built."""
     c = model.coupling_value(n)
-    if _closed_form(model):
-        return lambda times: _dirichlet_rows(
-            model, m, c * np.minimum(times, GATE_TIME) / model.hbar
-        )
-    w, u = np.linalg.eigh(np.diag(model.ring_energies) + c * model.shift_generator)
-    start = u[model.ring_index(m)].conj()  # u^dagger |m>
-
-    def states(times: np.ndarray) -> np.ndarray:
-        t_on = np.minimum(times, GATE_TIME)
-        rows = (np.exp(-1j * np.outer(t_on, w) / model.hbar) * start) @ u.T
-        return rows * np.exp(-1j * np.outer(times - t_on, model.ring_energies) / model.hbar)
-
-    return states
+    return lambda times: _dirichlet_rows(model, m, c * np.minimum(times, GATE_TIME) / model.hbar)
 
 
 def _pulse_probabilities(model: HamiltonianModel, n: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
     """Map from pulse times in [0, GATE_TIME] to the ring probabilities of
-    (n, m), one row per time.
-
-    The closed form squares the real Dirichlet ratio and never forms a
-    complex amplitude; otherwise the rows are the propagator's, whose
-    free phases are 1 while the pulse is on.
-    """
-    if _closed_form(model):
-        c = model.coupling_value(n)
-        return lambda t_on: np.square(r := _dirichlet_ratio(model, m, c * t_on / model.hbar)[0], out=r)
-    propagate = _ring_propagator(model, n, m)
-
-    def probabilities(t_on: np.ndarray) -> np.ndarray:
-        rows = propagate(t_on)
-        return rows.real ** 2 + rows.imag ** 2
-
-    return probabilities
+    (n, m), one row per time: the squared real Dirichlet ratio, with no
+    complex amplitude formed."""
+    c = model.coupling_value(n)
+    return lambda t_on: np.square(r := _dirichlet_ratio(model, m, c * t_on / model.hbar)[0], out=r)
 
 
 def _propagate(model: HamiltonianModel, n: int, m: int, t: float) -> np.ndarray:
-    """Ring-register amplitudes of the pair (n, m) at time t, control phase included."""
+    """Ring-register amplitudes of the pair (n, m) at time t."""
     t = _check_time(t)
     model.check_window(n, m)
-    phase = np.exp(-1j * t * model.energy_a_value(n) / model.hbar)
-    return phase * _ring_propagator(model, n, m)(np.array([t]))[0]
+    return _ring_propagator(model, n, m)(np.array([t]))[0]
 
 
 def _ring_ket(model: HamiltonianModel, vec: np.ndarray, control: tuple[int, ...]) -> Ket:
@@ -310,37 +264,25 @@ def _rk4_segment(h_matrix: np.ndarray, psi: np.ndarray, duration: float, max_ste
 def evolve_numeric(
     model: HamiltonianModel, n: int, m: int, t: float, dt: float = 0.005
 ) -> Ket:
-    """Runge-Kutta propagation of the same pulse-then-free dynamics.
+    """Runge-Kutta propagation of the same pulse.
 
-    ``dt`` caps the step size; steps shrink further so that no step
-    advances the fastest eigenmode by more than MAX_STEP_PHASE radians,
-    which keeps the global error well under the comparison tolerances
-    even at the edge of the label window.
+    RK4 integrates the pulse alone: nothing acts after it, so the state
+    is frozen once it ends.  ``dt`` caps the step size; steps shrink
+    further so that no step advances the fastest eigenmode (|c| pi / hbar
+    radians per unit time) by more than MAX_STEP_PHASE radians, which
+    keeps the global error well under the comparison tolerances even at
+    the edge of the label window.
     """
     t = _check_time(t)
     check_dt(dt)
     dt = float(dt)
     model.check_window(n, m)
     c = model.coupling_value(n)
-    ea = model.energy_a_value(n)
-    eye = np.eye(model.dim)
-    h_free = (np.diag(model.ring_energies) + ea * eye) / model.hbar
-    h_on = h_free + c * model.shift_generator / model.hbar
-    t_on = min(t, GATE_TIME)
-    t_free = t - t_on
-
-    def max_step(rate_bound: float) -> float:
-        if rate_bound <= 0.0:
-            return dt
-        return min(dt, MAX_STEP_PHASE / rate_bound)
-
-    free_rate = (float(np.max(np.abs(model.ring_energies))) + abs(ea)) / model.hbar
-    on_rate = free_rate + abs(c) * math.pi / model.hbar
-    psi = _rk4_segment(h_on, eye[model.ring_index(m)].astype(complex), t_on, max_step(on_rate))
-    # With no free term (the default model) the state is frozen after the
-    # pulse, and RK4 by a zero H is the identity.
-    if h_free.any():
-        psi = _rk4_segment(h_free, psi, t_free, max_step(free_rate))
+    rate = abs(c) * math.pi / model.hbar
+    max_step = min(dt, MAX_STEP_PHASE / rate) if rate > 0.0 else dt
+    psi = np.zeros(model.dim, dtype=complex)
+    psi[model.ring_index(m)] = 1.0
+    psi = _rk4_segment(c * model.shift_generator / model.hbar, psi, min(t, GATE_TIME), max_step)
     return _ring_ket(model, psi, (n,))
 
 
@@ -391,7 +333,11 @@ def detect_stopping_time(
     t_max: float,
     samples: int = 200,
 ) -> EvolutionTrace:
-    """Sample the run on a uniform grid and locate the sustained crossing."""
+    """Sample the run on a uniform grid and locate the sustained crossing.
+
+    Nothing acts after the pulse, so the state is frozen once it ends and
+    every sample past the pulse end repeats the pulse-end row.
+    """
     check_epsilon(epsilon)
     check_t_max(t_max)
     check_samples(samples)
@@ -402,10 +348,9 @@ def detect_stopping_time(
     fidelity = np.empty(samples)
     leakage = np.empty(samples)
     off_peak = np.empty(samples)
-    # The probabilities freeze when the pulse ends (free terms are
-    # diagonal): evaluate the grid up to its first time at or past
-    # GATE_TIME, at most TRACE_BLOCK amplitudes at a time, and copy that
-    # row's values to the later times.
+    # Evaluate the grid up to its first time at or past GATE_TIME, at most
+    # TRACE_BLOCK amplitudes at a time, and copy that row's values to the
+    # later times.
     pulse_rows = min(samples, int(np.searchsorted(times, GATE_TIME, side="left")) + 1)
     probabilities = _pulse_probabilities(model, n, m)
     rows = max(1, TRACE_BLOCK // model.dim)
@@ -440,8 +385,8 @@ def closed_form_stopping_time(
 ) -> float | None:
     """The stopping time ``detect_stopping_time`` must find, from the closed form.
 
-    With no free ring term and a pulse that lands on n + m, the target
-    fidelity at time t is the squared Dirichlet kernel at offset
+    Nothing acts after the pulse, so with a pulse that lands on n + m the
+    target fidelity at time t is the squared Dirichlet kernel at offset
     d = n (1 - min(t, 1)), for every m in the window.  Its main lobe
     falls from 1 at d = 0 to 0 at |d| = 1 and its side lobes stay below
     0.05 < 1 - epsilon, so the fidelity is at least 1 - epsilon exactly
@@ -454,10 +399,10 @@ def closed_form_stopping_time(
     check_t_max(t_max)
     check_samples(samples)
     model.check_window(n, 0)
-    if not _closed_form(model) or model.coupling_value(n) != n * model.hbar:
+    if model.coupling_value(n) != n * model.hbar:
         raise ValueError(
-            "the closed-form stopping time needs no free ring term and a pulse "
-            f"that lands on n + m (coupling n * hbar), got n = {n}"
+            "the closed-form stopping time needs a pulse that lands on n + m "
+            f"(coupling n * hbar), got n = {n}"
         )
     dim = model.dim
     lo, hi = 0.0, 1.0  # bisect the main lobe, decreasing on [0, 1]

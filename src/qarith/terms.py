@@ -46,6 +46,20 @@ class FreeVar:
     depth = 0
 
 
+# Deepest term the recursive tree walks (render_term, render_infix,
+# compile_term, evaluate_oracle and repr) accept.  Each recurses once per
+# level, well inside Python's default recursion limit of 1000, and the
+# bound is far past the MAX_TERM_DEPTH = 13 that parsed terms reach.
+MAX_WALK_DEPTH = 200
+
+
+class TermDepthError(ValueError):
+    """A term deeper than MAX_WALK_DEPTH, built directly with ``Node``."""
+
+    def __init__(self, term: "Term"):
+        super().__init__(f"term is {term.depth} deep, past MAX_WALK_DEPTH = {MAX_WALK_DEPTH}")
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     op: BinOp
@@ -65,6 +79,11 @@ class Node:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        if self.depth > MAX_WALK_DEPTH:
+            return f"Node(<{self.depth} deep, arity {self.arity}>)"
+        return f"Node(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
 
 Term = FreeVar | Node
@@ -200,14 +219,22 @@ _VAR_NAMES = "nmklpqrsabcdefgh"
 
 def render_term(term: Term) -> str:
     """Prefix form: M0, P(a,b), T(a,b)."""
-    if isinstance(term, FreeVar):
+    if term.depth > MAX_WALK_DEPTH:
+        raise TermDepthError(term)
+    return _prefix(term)
+
+
+def _prefix(t: Term) -> str:
+    if isinstance(t, FreeVar):
         return "M0"
-    tag = "P" if term.op is BinOp.PLUS else "T"
-    return f"{tag}({render_term(term.left)},{render_term(term.right)})"
+    tag = "P" if t.op is _SUM else "T"
+    return f"{tag}({_prefix(t.left)},{_prefix(t.right)})"
 
 
 def render_infix(term: Term) -> str:
     """Infix form with fresh single-letter arguments, products by juxtaposition."""
+    if term.depth > MAX_WALK_DEPTH:
+        raise TermDepthError(term)
     return _infix(term, map(_var_name, count()))
 
 
@@ -356,6 +383,8 @@ def evaluate_oracle(term: Term, args: tuple[int, ...]) -> int:
     for v in args:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"arguments must be integers, got {v!r}")
+    if term.depth > MAX_WALK_DEPTH:
+        raise TermDepthError(term)
     return _oracle(term, iter(args))
 
 
@@ -374,6 +403,8 @@ def compile_term(term: Term) -> Circuit:
     Inputs occupy the first ``arity`` registers, leaves left to right;
     every multiplication node owns one ancilla register that starts at 0.
     """
+    if term.depth > MAX_WALK_DEPTH:
+        raise TermDepthError(term)
     n = term.arity
     steps: list[GateStep] = []
     next_ancilla = [n]

@@ -1,8 +1,8 @@
 """Dynamics tests against an independent matrix-exponential oracle.
 
 The closed-form propagator is cross-checked with scipy's expm applied
-to the same Hamiltonian segments, so the spectral shortcut never gets
-to grade its own work.
+to the same pulse Hamiltonian, so the spectral shortcut never gets to
+grade its own work.
 """
 
 import json
@@ -42,17 +42,11 @@ def dense_ring(model, state, n):
 
 
 def oracle_ring(model, n, m, t):
-    """Matrix-exponential propagation of the same pulse-then-free split."""
+    """Matrix-exponential propagation of the pulse; nothing acts after it."""
     psi = np.zeros(model.dim, dtype=complex)
     psi[model.ring_index(m)] = 1.0
-    c = model.coupling_value(n)
-    h_on = np.diag(model.ring_energies) + c * model.shift_generator
-    t_on = min(t, GATE_TIME)
-    psi = expm(-1j * t_on * h_on / model.hbar) @ psi
-    if t > GATE_TIME:
-        h_free = np.diag(model.ring_energies).astype(complex)
-        psi = expm(-1j * (t - GATE_TIME) * h_free / model.hbar) @ psi
-    return np.exp(-1j * t * model.energy_a_value(n) / model.hbar) * psi
+    h_on = model.coupling_value(n) * model.shift_generator
+    return expm(-1j * min(t, GATE_TIME) * h_on / model.hbar) @ psi
 
 
 def test_model_validation():
@@ -153,19 +147,6 @@ def test_exact_matches_expm_oracle(n, m, t):
     got = dense_ring(model, state, n)
     want = oracle_ring(model, n, m, t)
     assert np.linalg.norm(got - want) <= 1e-12
-
-
-def test_exact_matches_expm_oracle_with_free_terms():
-    model = build_model(
-        16,
-        energy_a={2: 0.7},
-        energy_b={0: 0.3, 1: -0.2, 5: 1.1},
-    )
-    for t in (0.4, 1.0, 1.6):
-        state = evolve_exact(model, 2, 3, t)
-        got = dense_ring(model, state, 2)
-        want = oracle_ring(model, 2, 3, t)
-        assert np.linalg.norm(got - want) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -286,64 +267,44 @@ def test_numeric_matches_exact(n, m):
         assert abs(approx.norm() - 1.0) <= 1e-6
 
 
-def test_numeric_with_free_terms():
-    model = build_model(16, energy_a={3: 0.4}, energy_b={1: 0.9, -2: -0.5})
-    approx = evolve_numeric(model, 3, 1, 1.3, 0.005)
-    exact = evolve_exact(model, 3, 1, 1.3)
-    assert approx.distance(exact) <= 1e-6
-
-
 def reference_rk4(model, n, m, t, dt):
-    """evolve_numeric's pulse-then-free RK4 as an explicit loop of k1..k4 steps."""
-
-    def segment(h_matrix, psi, duration, max_step):
-        if duration <= 0.0:
-            return psi
-        steps = max(1, math.ceil(duration / max_step))
-        h = duration / steps
-
-        def deriv(v):
-            return -1j * (h_matrix @ v)
-
-        for _ in range(steps):
-            k1 = deriv(psi)
-            k2 = deriv(psi + 0.5 * h * k1)
-            k3 = deriv(psi + 0.5 * h * k2)
-            k4 = deriv(psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return psi
-
+    """evolve_numeric's RK4 of the pulse as an explicit loop of k1..k4 steps."""
     c = model.coupling_value(n)
-    ea = model.energy_a_value(n)
-    h_free = (np.diag(model.ring_energies) + ea * np.eye(model.dim)) / model.hbar
-    h_on = h_free + c * model.shift_generator / model.hbar
-    t_on = min(t, GATE_TIME)
+    h_matrix = c * model.shift_generator / model.hbar
+    rate = abs(c) * math.pi / model.hbar
+    max_step = dt if rate <= 0.0 else min(dt, MAX_STEP_PHASE / rate)
+    duration = min(t, GATE_TIME)
+    steps = max(1, math.ceil(duration / max_step))
+    h = duration / steps
 
-    def max_step(rate):
-        return dt if rate <= 0.0 else min(dt, MAX_STEP_PHASE / rate)
+    def deriv(v):
+        return -1j * (h_matrix @ v)
 
-    free_rate = (float(np.max(np.abs(model.ring_energies))) + abs(ea)) / model.hbar
-    on_rate = free_rate + abs(c) * math.pi / model.hbar
     psi = np.zeros(model.dim, dtype=complex)
     psi[model.ring_index(m)] = 1.0
-    psi = segment(h_on, psi, t_on, max_step(on_rate))
-    return segment(h_free, psi, t - t_on, max_step(free_rate))
+    for _ in range(steps):
+        k1 = deriv(psi)
+        k2 = deriv(psi + 0.5 * h * k1)
+        k3 = deriv(psi + 0.5 * h * k2)
+        k4 = deriv(psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
 
 
 @pytest.mark.parametrize(
-    "dim,n,m,t,free_terms",
+    "dim,n,m,t,rescaled",
     [
         (32, 2, 3, 0.5, False),
         (32, -4, 1, 1.0, False),
         (32, 15, 0, 0.7, False),
         (32, 1, 14, 1.0, False),
-        (32, -9, -6, 1.4, False),  # t > 1: pulse and free segments
+        (32, -9, -6, 1.4, False),  # t > 1: the state is frozen after the pulse
         (16, 3, 1, 1.3, True),
         (16, -2, 5, 0.6, True),
     ],
 )
-def test_numeric_matches_reference_step_loop(dim, n, m, t, free_terms):
-    extra = {"energy_a": {n: 0.4}, "energy_b": {1: 0.9, -2: -0.5}} if free_terms else {}
+def test_numeric_matches_reference_step_loop(dim, n, m, t, rescaled):
+    extra = {"hbar": 2.0, "coupling": {n: n + 0.37}} if rescaled else {}
     model = build_model(dim, **extra)
     got = dense_ring(model, evolve_numeric(model, n, m, t, 0.005), n)
     want = reference_rk4(model, n, m, t, 0.005)
@@ -364,30 +325,27 @@ def spy_powers(monkeypatch):
 
 
 def test_numeric_step_count(monkeypatch):
-    # Step counts still come from MAX_STEP_PHASE and dt: the pulse of n = 15
-    # is limited by its phase rate, a slow free term's segment by dt, and a
-    # fast free term raises the free segment's rate past 0.02 / dt.
+    # One power of the pulse's step matrix per call, also past the pulse.
+    # Its exponent comes from MAX_STEP_PHASE and dt: the pulse of n = 15 is
+    # limited by its phase rate |c| pi / hbar, the pulse of n = 1 by dt.
     powers = spy_powers(monkeypatch)
-    evolve_numeric(build_model(32), 15, 0, 1.4, 0.005)
-    assert powers == [math.ceil(1.0 / (MAX_STEP_PHASE / (15 * math.pi)))]  # no free term
-    powers.clear()
-    evolve_numeric(build_model(32, energy_a={15: 0.5}), 15, 0, 1.4, 0.005)
-    assert powers == [math.ceil(1.0 / (MAX_STEP_PHASE / (0.5 + 15 * math.pi))), 80]
-    powers.clear()
-    evolve_numeric(build_model(16, energy_a={3: 2.0}, energy_b={1: 5.0}), 3, 1, 1.5, 0.01)
-    free_rate = 5.0 + 2.0
-    assert powers == [
-        math.ceil(1.0 / (MAX_STEP_PHASE / (free_rate + 3 * math.pi))),
-        math.ceil(0.5 / (MAX_STEP_PHASE / free_rate)),
-    ]
+    for model, n, m, t, dt, rate in [
+        (build_model(32), 15, 0, 1.4, 0.005, 15 * math.pi),
+        (build_model(32, hbar=2.0), 15, 0, 1.4, 0.005, 15 * math.pi / 2.0),
+        (build_model(32, coupling={3: -20.0}), 3, 1, 1.5, 0.01, 20 * math.pi),
+    ]:
+        powers.clear()
+        evolve_numeric(model, n, m, t, dt)
+        assert powers == [math.ceil(1.0 / (MAX_STEP_PHASE / rate))]
     powers.clear()
     evolve_numeric(build_model(32), 1, 3, 0.3, 0.005)
-    assert powers == [60]  # dt-limited pulse, no free segment
+    assert powers == [60]  # dt-limited pulse
 
 
 def test_frozen_free_segment_skipped_exactly(monkeypatch):
-    # With no free term RK4 after the pulse multiplies by the identity;
-    # skipping that segment must leave the very same amplitudes.
+    # Nothing acts after the pulse, so RK4 past it would multiply by the
+    # identity; integrating the pulse alone must leave the very same
+    # amplitudes.
     model = build_model(64)
     pulses = []
     real = dynamics._rk4_segment
@@ -402,17 +360,6 @@ def test_frozen_free_segment_skipped_exactly(monkeypatch):
     frozen = real(np.zeros((model.dim, model.dim)), pulses[0], 0.4, 0.005)
     assert list(got.items()) == list(dynamics._ring_ket(model, frozen, (2,)).items())
     assert list(got.items()) == list(evolve_numeric(model, 2, 3, 1.0, 0.005).items())
-
-
-@pytest.mark.parametrize(
-    "free_terms", [{"energy_a": {2: 0.7}}, {"energy_b": {4: -1.1}}], ids=["energy_a", "energy_b"]
-)
-def test_free_segment_runs_with_a_free_term(monkeypatch, free_terms):
-    model = build_model(16, **free_terms)
-    powers = spy_powers(monkeypatch)
-    got = evolve_numeric(model, 2, 3, 1.4, 0.005)
-    assert len(powers) == 2
-    assert got.distance(evolve_exact(model, 2, 3, 1.4)) <= 1e-6
 
 
 def test_subsystem_consistency_example():
@@ -447,8 +394,8 @@ def test_trace_fidelity_matches_point_evolution(dim, hbar, fraction):
         assert abs(fid - want) <= 1e-12, t
 
 
-def test_free_term_trace_matches_expm_oracle():
-    model = build_model(16, energy_a={2: 0.7}, energy_b={0: 0.3, 5: 1.1})
+def test_trace_matches_expm_oracle():
+    model = build_model(16, hbar=2.0, coupling={2: 4.37})
     trace = detect_stopping_time(model, 2, 3, 1e-3, 1.6, 40)
     tidx = model.ring_index(5)
     for t, fid, leak in zip(trace.times, trace.fidelity, trace.leakage):
@@ -461,8 +408,6 @@ TRACE_MODELS = {
     "default": lambda n: {},
     "hbar": lambda n: {"hbar": 2.0},
     "coupling": lambda n: {"coupling": {n: n + 0.37}},
-    "energy_a": lambda n: {"energy_a": {n: 0.7}},
-    "energy_b": lambda n: {"energy_b": {0: 0.3, 1: 1.1}},  # the eigh route
 }
 # A grid that ends before the pulse does, two with a sample exactly at
 # t = 1, and the CLI default.
@@ -473,8 +418,8 @@ TRACE_GRIDS = [(0.8, 50), (2.0, 3), (2.0, 201), (1.5, 200)]
 @pytest.mark.parametrize("kind", sorted(TRACE_MODELS))
 def test_trace_matches_every_sample_reference(dim, kind):
     # The reference squares the propagator's complex rows at every sample,
-    # past the pulse too; the trace squares real ratios on the closed form
-    # and reuses the pulse-end row.
+    # past the pulse too; the trace squares real ratios and reuses the
+    # pulse-end row.
     n, m, epsilon = dim // 4 - 1, 1, 1e-3
     model = build_model(dim, **TRACE_MODELS[kind](n))
     propagate = dynamics._ring_propagator(model, n, m)
@@ -523,7 +468,7 @@ def item_bits(ket):
 @pytest.mark.parametrize("dim", [8, 64, 1024])
 def test_ring_ket_matches_component_loop(dim):
     n, m = dim // 4 - 1, 1
-    model = build_model(dim, energy_a={n: 0.7})
+    model = build_model(dim)
     # t = 0 and 1 shift by whole labels (n is odd), 0.5 and 0.37 do not
     for t in (0.0, 0.37, 0.5, 1.0, 1.3):
         vec = dynamics._propagate(model, n, m, t)
@@ -535,7 +480,7 @@ def test_ring_ket_matches_component_loop(dim):
 @pytest.mark.parametrize("dim", [8, 32, 512])
 @pytest.mark.parametrize("epsilon", [1e-3, 0.01, 0.3])
 def test_closed_form_stopping_time_matches_traces(dim, epsilon):
-    model = build_model(dim, energy_a={1: 0.5})  # a control phase changes nothing
+    model = build_model(dim)
     for n in range(-min(6, dim // 2 - 1), min(6, dim // 2 - 1) + 1):
         want = closed_form_stopping_time(model, n, epsilon, 3.0, 200)
         for m in {0, dim // 2 - 1 - abs(n)}:
@@ -559,9 +504,8 @@ def test_closed_form_stopping_time_edges():
     assert detect_stopping_time(slow, 3, 1, 0.01, 2.0).stopping_time == (
         closed_form_stopping_time(slow, 3, 0.01, 2.0)
     )
-    for other in (build_model(32, energy_b={0: 0.1}), build_model(32, coupling={3: 3.5})):
-        with pytest.raises(ValueError, match="closed-form stopping time"):
-            closed_form_stopping_time(other, 3, 1e-3, 1.5)
+    with pytest.raises(ValueError, match="closed-form stopping time"):
+        closed_form_stopping_time(build_model(32, coupling={3: 3.5}), 3, 1e-3, 1.5)
     with pytest.raises(WindowError):
         closed_form_stopping_time(model, 16, 1e-3, 1.5)
     with pytest.raises(ValueError):

@@ -16,10 +16,12 @@ from qarith.states import Ket
 from qarith.terms import (
     FREE,
     MAX_TERM_DEPTH,
+    MAX_WALK_DEPTH,
     ArityError,
     BinOp,
     FreeVar,
     Node,
+    TermDepthError,
     TermSyntaxError,
     arity,
     bijection_report,
@@ -335,6 +337,38 @@ def test_cold_evaluation_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def plus_chain(depth):
+    term = FREE
+    for _ in range(depth):
+        term = node(P, term, FREE)
+    return term
+
+
+def test_deep_terms_raise_a_named_error():
+    # A term built directly with Node can nest past the recursion limit.
+    # Each recursive walk refuses it by its stored depth before walking;
+    # index_of is not guarded (a chain's index doubles its bit length per
+    # level, so no walk could compute it).
+    deep = plus_chain(5_000)
+    assert arity(deep) == 5_001 and class_of(deep) == 4_999
+    walks = (render_term, render_infix, compile_term, lambda t: evaluate_oracle(t, (1,) * t.arity))
+    for walk in walks:
+        with pytest.raises(TermDepthError, match=r"^term is 5000 deep, past MAX_WALK_DEPTH = 200$"):
+            walk(deep)
+    assert issubclass(TermDepthError, ValueError)
+    assert repr(deep) == "Node(<5000 deep, arity 5001>)"
+    # exactly at the bound every walk still answers
+    edge = plus_chain(MAX_WALK_DEPTH)
+    ones = (1,) * (MAX_WALK_DEPTH + 1)
+    assert render_term(edge) == "P(" * MAX_WALK_DEPTH + "M0" + ",M0)" * MAX_WALK_DEPTH
+    assert render_infix(edge).count("+") == MAX_WALK_DEPTH
+    assert evaluate_oracle(edge, ones) == compile_term(edge).run(ones) == MAX_WALK_DEPTH + 1
+    assert repr(edge).startswith("Node(op=<BinOp.PLUS: 1>, left=Node(op=")
+    assert repr(edge).count("FreeVar()") == MAX_WALK_DEPTH + 1
+    with pytest.raises(TermDepthError):
+        render_term(node(P, edge, FREE))
 
 
 def test_dual_evaluation_examples():
