@@ -16,8 +16,7 @@ away from the wrap-around point of the ring.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -59,34 +58,21 @@ _KERNEL_FLAT = 1e-9
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Diagonal control register coupled to a shift generator on a ring.
+    """Diagonal control register coupled to a shift generator G on a ring.
 
-    ``coupling`` overrides the control-label eigenvalue of the coupling
-    operator (default: the label itself, which makes the pulse add the
-    control into the ring).  Nothing acts after the pulse, so the state
-    is frozen once it ends.
+    The pulse Hamiltonian of the pair (n, m) is n G: over the unit pulse
+    it advances the ring by the control label n.  Nothing acts after the
+    pulse, so the state is frozen once it ends.
     """
 
     dim: int = 32
-    hbar: float = 1.0
-    coupling: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         check_dim(self.dim)
-        if not (self.hbar > 0.0) or not math.isfinite(self.hbar):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar!r}")
-        half = self.dim // 2
-        window = range(-half, half + 1)
-        values = [self.coupling_value(n) for n in window]
-        if len(set(values)) != len(values):
-            raise ValueError("coupling eigenvalues must be distinct across the label window")
 
     @property
     def half(self) -> int:
         return self.dim // 2
-
-    def coupling_value(self, n: int) -> float:
-        return float(self.coupling.get(n, n))
 
     def ring_index(self, label: int) -> int:
         return (label + self.half - 1) % self.dim
@@ -139,8 +125,8 @@ class HamiltonianModel:
             raise WindowError(n, m, self.dim)
 
 
-def build_model(dim: int = 32, **overrides) -> HamiltonianModel:
-    return HamiltonianModel(dim=dim, **overrides)
+def build_model(dim: int = 32) -> HamiltonianModel:
+    return HamiltonianModel(dim=dim)
 
 
 def _check_time(t: float) -> float:
@@ -200,26 +186,11 @@ def _dirichlet_rows(model: HamiltonianModel, m: int, shifts: np.ndarray) -> np.n
     return rows
 
 
-def _ring_propagator(model: HamiltonianModel, n: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Map from a vector of times to the ring amplitudes of (n, m), one row
-    per time, from the closed form; no dense matrix is built."""
-    c = model.coupling_value(n)
-    return lambda times: _dirichlet_rows(model, m, c * np.minimum(times, GATE_TIME) / model.hbar)
-
-
-def _pulse_probabilities(model: HamiltonianModel, n: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Map from pulse times in [0, GATE_TIME] to the ring probabilities of
-    (n, m), one row per time: the squared real Dirichlet ratio, with no
-    complex amplitude formed."""
-    c = model.coupling_value(n)
-    return lambda t_on: np.square(r := _dirichlet_ratio(model, m, c * t_on / model.hbar)[0], out=r)
-
-
 def _propagate(model: HamiltonianModel, n: int, m: int, t: float) -> np.ndarray:
-    """Ring-register amplitudes of the pair (n, m) at time t."""
+    """Closed-form ring-register amplitudes of the pair (n, m) at time t."""
     t = _check_time(t)
     model.check_window(n, m)
-    return _ring_propagator(model, n, m)(np.array([t]))[0]
+    return _dirichlet_rows(model, m, np.array([n * min(t, GATE_TIME)]))[0]
 
 
 def _ring_ket(model: HamiltonianModel, vec: np.ndarray, control: tuple[int, ...]) -> Ket:
@@ -268,7 +239,7 @@ def evolve_numeric(
 
     RK4 integrates the pulse alone: nothing acts after it, so the state
     is frozen once it ends.  ``dt`` caps the step size; steps shrink
-    further so that no step advances the fastest eigenmode (|c| pi / hbar
+    further so that no step advances the fastest eigenmode (|n| pi
     radians per unit time) by more than MAX_STEP_PHASE radians, which
     keeps the global error well under the comparison tolerances even at
     the edge of the label window.
@@ -277,12 +248,11 @@ def evolve_numeric(
     check_dt(dt)
     dt = float(dt)
     model.check_window(n, m)
-    c = model.coupling_value(n)
-    rate = abs(c) * math.pi / model.hbar
+    rate = abs(n) * math.pi
     max_step = min(dt, MAX_STEP_PHASE / rate) if rate > 0.0 else dt
     psi = np.zeros(model.dim, dtype=complex)
     psi[model.ring_index(m)] = 1.0
-    psi = _rk4_segment(c * model.shift_generator / model.hbar, psi, min(t, GATE_TIME), max_step)
+    psi = _rk4_segment(n * model.shift_generator, psi, min(t, GATE_TIME), max_step)
     return _ring_ket(model, psi, (n,))
 
 
@@ -352,11 +322,12 @@ def detect_stopping_time(
     # TRACE_BLOCK amplitudes at a time, and copy that row's values to the
     # later times.
     pulse_rows = min(samples, int(np.searchsorted(times, GATE_TIME, side="left")) + 1)
-    probabilities = _pulse_probabilities(model, n, m)
     rows = max(1, TRACE_BLOCK // model.dim)
     for lo in range(0, pulse_rows, rows):
         hi = min(lo + rows, pulse_rows)
-        probs = probabilities(np.minimum(times[lo:hi], GATE_TIME))
+        # The squared real Dirichlet ratio; no complex amplitude is formed.
+        probs = _dirichlet_ratio(model, m, n * np.minimum(times[lo:hi], GATE_TIME))[0]
+        np.square(probs, out=probs)
         fidelity[lo:hi] = probs[:, tidx]
         leakage[lo:hi] = probs.sum(axis=1) - probs[:, tidx]
         probs[:, tidx] = 0.0
@@ -385,25 +356,19 @@ def closed_form_stopping_time(
 ) -> float | None:
     """The stopping time ``detect_stopping_time`` must find, from the closed form.
 
-    Nothing acts after the pulse, so with a pulse that lands on n + m the
-    target fidelity at time t is the squared Dirichlet kernel at offset
-    d = n (1 - min(t, 1)), for every m in the window.  Its main lobe
-    falls from 1 at d = 0 to 0 at |d| = 1 and its side lobes stay below
-    0.05 < 1 - epsilon, so the fidelity is at least 1 - epsilon exactly
-    from the crossing t* = 1 - d*/|n| on, where d* in (0, 1) solves
-    kernel(d*)^2 = 1 - epsilon.  The stopping time is the first time of
-    the same uniform grid at or after t*, or None when the grid ends
-    before it.
+    Nothing acts after the pulse, so the target fidelity at time t is the
+    squared Dirichlet kernel at offset d = n (1 - min(t, 1)), for every m
+    in the window.  Its main lobe falls from 1 at d = 0 to 0 at |d| = 1
+    and its side lobes stay below 0.05 < 1 - epsilon, so the fidelity is
+    at least 1 - epsilon exactly from the crossing t* = 1 - d*/|n| on,
+    where d* in (0, 1) solves kernel(d*)^2 = 1 - epsilon.  The stopping
+    time is the first time of the same uniform grid at or after t*, or
+    None when the grid ends before it.
     """
     check_epsilon(epsilon)
     check_t_max(t_max)
     check_samples(samples)
     model.check_window(n, 0)
-    if model.coupling_value(n) != n * model.hbar:
-        raise ValueError(
-            "the closed-form stopping time needs a pulse that lands on n + m "
-            f"(coupling n * hbar), got n = {n}"
-        )
     dim = model.dim
     lo, hi = 0.0, 1.0  # bisect the main lobe, decreasing on [0, 1]
     for _ in range(64):
@@ -433,12 +398,12 @@ class SuperadditivityRow:
 def superadditivity_table(
     model: HamiltonianModel,
     n_max: int = 6,
-    m_values: tuple[int, ...] = (0, 3, -3),
     epsilon: float = 1e-3,
     t_max: float = 4.0,
     samples: int = 200,
 ) -> list[SuperadditivityRow]:
-    """Compare T(n-k, m) + T(k, m) against T(n, m) over split additions.
+    """Compare T(n-k, m) + T(k, m) against T(n, m) over split additions,
+    for m in 0, 3 and -3.
 
     Splits keep both parts strictly smaller in magnitude than the whole,
     so each row asks whether two easier additions take at least as long
@@ -454,7 +419,7 @@ def superadditivity_table(
             continue
         ks = range(1, n) if n > 0 else range(n + 1, 0)
         for k in ks:
-            for m in m_values:
+            for m in (0, 3, -3):
                 if abs(n) + abs(m) >= model.half:
                     continue
                 t_whole = stop(n, m)

@@ -80,6 +80,27 @@ class Node:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # Walks both terms with an explicit stack, so terms of any depth
+        # compare; a differing stored hash or depth ends the walk at once.
+        if self is other:
+            return True
+        if type(other) is not Node:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if type(a) is Node:
+                if a._hash != b._hash or a.depth != b.depth or a.op != b.op:
+                    return False
+                pairs.append((a.right, b.right))
+                pairs.append((a.left, b.left))
+        return True
+
     def __repr__(self) -> str:
         if self.depth > MAX_WALK_DEPTH:
             return f"Node(<{self.depth} deep, arity {self.arity}>)"

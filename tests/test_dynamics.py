@@ -19,7 +19,6 @@ from qarith.dynamics import (
     MAX_SAMPLES,
     MAX_STEP_PHASE,
     TRACE_BLOCK,
-    HamiltonianModel,
     WindowError,
     build_model,
     closed_form_stopping_time,
@@ -45,8 +44,7 @@ def oracle_ring(model, n, m, t):
     """Matrix-exponential propagation of the pulse; nothing acts after it."""
     psi = np.zeros(model.dim, dtype=complex)
     psi[model.ring_index(m)] = 1.0
-    h_on = model.coupling_value(n) * model.shift_generator
-    return expm(-1j * min(t, GATE_TIME) * h_on / model.hbar) @ psi
+    return expm(-1j * min(t, GATE_TIME) * (n * model.shift_generator)) @ psi
 
 
 def test_model_validation():
@@ -54,10 +52,6 @@ def test_model_validation():
         build_model(6)
     with pytest.raises(ValueError):
         build_model(15)
-    with pytest.raises(ValueError):
-        HamiltonianModel(dim=32, hbar=0.0)
-    with pytest.raises(ValueError):
-        HamiltonianModel(dim=32, coupling={1: 2.0})  # collides with label 2
     build_model(8)  # smallest legal ring
 
 
@@ -150,23 +144,31 @@ def test_exact_matches_expm_oracle(n, m, t):
 
 
 @pytest.mark.parametrize(
-    "coupling,t",
+    "t",
     [
-        # the shift -20 wraps the ring: d = x - m - s reaches D
-        ({2: -20.0}, 0.5),
-        ({2: -20.0}, 1.0),
-        ({2: -20.0}, 1.3),
+        # shifts s = -20 t: -10 stays inside the window, -20 and -26
+        # carry |3> across the ring's seam
+        0.5,
+        1.0,
+        1.3,
         # a shift too small to resolve: the kernel stays flat at 1
-        ({}, 5e-324),
+        5e-324,
     ],
     ids=["wrap-0.5", "wrap-1.0", "wrap-1.3", "tiny-t"],
 )
-def test_closed_form_edge_cases_match_expm_oracle(coupling, t):
-    model = build_model(32, coupling=coupling)
-    state = evolve_exact(model, 2, 3, t)
-    assert abs(state.norm() - 1.0) <= 1e-12
-    got = dense_ring(model, state, 2)
-    want = oracle_ring(model, 2, 3, t)
+def test_closed_form_edge_cases_match_expm_oracle(t):
+    model = build_model(32)
+    if t < 1e-300:
+        got = dense_ring(model, evolve_exact(model, 2, 3, t), 2)
+        want = oracle_ring(model, 2, 3, t)
+    else:
+        # No pair in the window shifts past the seam, but the kernel must.
+        shift = -20 * t
+        got = dynamics._dirichlet_rows(model, 3, np.array([shift]))[0]
+        start = np.zeros(model.dim, dtype=complex)
+        start[model.ring_index(3)] = 1.0
+        want = expm(-1j * shift * model.shift_generator) @ start
+    assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
     assert np.linalg.norm(got - want) <= 1e-12
 
 
@@ -212,22 +214,6 @@ def test_kernel_matches_per_label_sines(dim):
         assert np.max(np.abs(dynamics._dirichlet_rows(model, m, shifts) - rows)) <= 1e-14
 
 
-def test_hbar_rescales_time():
-    slow = build_model(32, hbar=2.0)
-    fast = build_model(32)
-    a = evolve_exact(slow, 3, 1, 0.8)
-    b = evolve_exact(fast, 3, 1, 0.4)
-    assert a.distance(b) <= 1e-12
-
-
-def test_coupling_override_changes_speed():
-    # eigenvalue -20 stays clear of every default label value on the window
-    model = build_model(32, coupling={2: -20.0})
-    state = evolve_exact(model, 2, 3, 0.25)
-    # shift of -20 * 0.25 = -5 by the quarter pulse
-    assert abs(state.amplitude((2, -2))) ** 2 == pytest.approx(1.0, abs=1e-9)
-
-
 def test_window_guard():
     model = build_model(32)
     with pytest.raises(WindowError):
@@ -269,9 +255,8 @@ def test_numeric_matches_exact(n, m):
 
 def reference_rk4(model, n, m, t, dt):
     """evolve_numeric's RK4 of the pulse as an explicit loop of k1..k4 steps."""
-    c = model.coupling_value(n)
-    h_matrix = c * model.shift_generator / model.hbar
-    rate = abs(c) * math.pi / model.hbar
+    h_matrix = n * model.shift_generator
+    rate = abs(n) * math.pi
     max_step = dt if rate <= 0.0 else min(dt, MAX_STEP_PHASE / rate)
     duration = min(t, GATE_TIME)
     steps = max(1, math.ceil(duration / max_step))
@@ -291,21 +276,22 @@ def reference_rk4(model, n, m, t, dt):
     return psi
 
 
+# The IDs keep their earlier form, "-False" included, so that results
+# recorded under them line up across versions.
+STEP_LOOP_CASES = [
+    (2, 3, 0.5),
+    (-4, 1, 1.0),
+    (15, 0, 0.7),
+    (1, 14, 1.0),
+    (-9, -6, 1.4),  # t > 1: the state is frozen after the pulse
+]
+
+
 @pytest.mark.parametrize(
-    "dim,n,m,t,rescaled",
-    [
-        (32, 2, 3, 0.5, False),
-        (32, -4, 1, 1.0, False),
-        (32, 15, 0, 0.7, False),
-        (32, 1, 14, 1.0, False),
-        (32, -9, -6, 1.4, False),  # t > 1: the state is frozen after the pulse
-        (16, 3, 1, 1.3, True),
-        (16, -2, 5, 0.6, True),
-    ],
+    "n,m,t", STEP_LOOP_CASES, ids=[f"32-{n}-{m}-{t}-False" for n, m, t in STEP_LOOP_CASES]
 )
-def test_numeric_matches_reference_step_loop(dim, n, m, t, rescaled):
-    extra = {"hbar": 2.0, "coupling": {n: n + 0.37}} if rescaled else {}
-    model = build_model(dim, **extra)
+def test_numeric_matches_reference_step_loop(n, m, t):
+    model = build_model(32)
     got = dense_ring(model, evolve_numeric(model, n, m, t, 0.005), n)
     want = reference_rk4(model, n, m, t, 0.005)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -326,20 +312,18 @@ def spy_powers(monkeypatch):
 
 def test_numeric_step_count(monkeypatch):
     # One power of the pulse's step matrix per call, also past the pulse.
-    # Its exponent comes from MAX_STEP_PHASE and dt: the pulse of n = 15 is
-    # limited by its phase rate |c| pi / hbar, the pulse of n = 1 by dt.
+    # Its exponent comes from MAX_STEP_PHASE and dt: the pulses of n = 15
+    # and -7 are limited by their phase rate |n| pi, the pulse of n = 1 by dt.
+    model = build_model(32)
     powers = spy_powers(monkeypatch)
-    for model, n, m, t, dt, rate in [
-        (build_model(32), 15, 0, 1.4, 0.005, 15 * math.pi),
-        (build_model(32, hbar=2.0), 15, 0, 1.4, 0.005, 15 * math.pi / 2.0),
-        (build_model(32, coupling={3: -20.0}), 3, 1, 1.5, 0.01, 20 * math.pi),
+    for n, m, t, dt, steps in [
+        (15, 0, 1.4, 0.005, math.ceil(1.0 / (MAX_STEP_PHASE / (15 * math.pi)))),
+        (-7, 4, 0.6, 0.01, math.ceil(0.6 / (MAX_STEP_PHASE / (7 * math.pi)))),
+        (1, 3, 0.3, 0.005, 60),
     ]:
         powers.clear()
         evolve_numeric(model, n, m, t, dt)
-        assert powers == [math.ceil(1.0 / (MAX_STEP_PHASE / rate))]
-    powers.clear()
-    evolve_numeric(build_model(32), 1, 3, 0.3, 0.005)
-    assert powers == [60]  # dt-limited pulse
+        assert powers == [steps]
 
 
 def test_frozen_free_segment_skipped_exactly(monkeypatch):
@@ -379,13 +363,10 @@ def test_default_route_builds_no_dense_matrix():
     assert "shift_generator" not in model.__dict__
 
 
-@pytest.mark.parametrize("dim", [8, 32, 256, 1024])
-@pytest.mark.parametrize(
-    "hbar,fraction", [(1.0, 0.0), (2.0, 0.0), (1.0, 0.37)], ids=["default", "hbar", "coupling"]
-)
-def test_trace_fidelity_matches_point_evolution(dim, hbar, fraction):
+@pytest.mark.parametrize("dim", [8, 32, 256, 1024], ids="default-{}".format)
+def test_trace_fidelity_matches_point_evolution(dim):
     n, m = dim // 4 - 1, 1
-    model = build_model(dim, hbar=hbar, coupling={n: n + fraction})
+    model = build_model(dim)
     trace = detect_stopping_time(model, n, m, 1e-3, 1.5, 200)
     # at D = 1024 the 134 grid rows up to t = 1 span more than one row block
     assert dim < 1024 or TRACE_BLOCK // dim < 134
@@ -395,7 +376,7 @@ def test_trace_fidelity_matches_point_evolution(dim, hbar, fraction):
 
 
 def test_trace_matches_expm_oracle():
-    model = build_model(16, hbar=2.0, coupling={2: 4.37})
+    model = build_model(16)
     trace = detect_stopping_time(model, 2, 3, 1e-3, 1.6, 40)
     tidx = model.ring_index(5)
     for t, fid, leak in zip(trace.times, trace.fidelity, trace.leakage):
@@ -404,29 +385,22 @@ def test_trace_matches_expm_oracle():
         assert abs(leak - (probs.sum() - probs[tidx])) <= 1e-12, t
 
 
-TRACE_MODELS = {
-    "default": lambda n: {},
-    "hbar": lambda n: {"hbar": 2.0},
-    "coupling": lambda n: {"coupling": {n: n + 0.37}},
-}
 # A grid that ends before the pulse does, two with a sample exactly at
 # t = 1, and the CLI default.
 TRACE_GRIDS = [(0.8, 50), (2.0, 3), (2.0, 201), (1.5, 200)]
 
 
-@pytest.mark.parametrize("dim", [8, 32, 256, 1024])
-@pytest.mark.parametrize("kind", sorted(TRACE_MODELS))
-def test_trace_matches_every_sample_reference(dim, kind):
+@pytest.mark.parametrize("dim", [8, 32, 256, 1024], ids="default-{}".format)
+def test_trace_matches_every_sample_reference(dim):
     # The reference squares the propagator's complex rows at every sample,
     # past the pulse too; the trace squares real ratios and reuses the
     # pulse-end row.
     n, m, epsilon = dim // 4 - 1, 1, 1e-3
-    model = build_model(dim, **TRACE_MODELS[kind](n))
-    propagate = dynamics._ring_propagator(model, n, m)
+    model = build_model(dim)
     tidx = model.ring_index(n + m)
     for t_max, samples in TRACE_GRIDS:
         times = np.linspace(0.0, t_max, samples)
-        rows = propagate(times)
+        rows = dynamics._dirichlet_rows(model, m, n * np.minimum(times, GATE_TIME))
         probs = rows.real ** 2 + rows.imag ** 2
         fidelity = probs[:, tidx].copy()
         leakage = probs.sum(axis=1) - fidelity
@@ -496,16 +470,6 @@ def test_closed_form_stopping_time_edges():
     # the grid can end before the crossing
     assert closed_form_stopping_time(model, 3, 1e-3, 0.9, 50) is None
     assert detect_stopping_time(model, 3, 0, 1e-3, 0.9, 50).stopping_time is None
-    # a pulse that still lands on n + m: coupling n * hbar
-    slow = build_model(32, hbar=2.0, coupling={k: 2.0 * k for k in range(-16, 17)})
-    assert closed_form_stopping_time(slow, 3, 0.01, 2.0) == closed_form_stopping_time(
-        model, 3, 0.01, 2.0
-    )
-    assert detect_stopping_time(slow, 3, 1, 0.01, 2.0).stopping_time == (
-        closed_form_stopping_time(slow, 3, 0.01, 2.0)
-    )
-    with pytest.raises(ValueError, match="closed-form stopping time"):
-        closed_form_stopping_time(build_model(32, coupling={3: 3.5}), 3, 1e-3, 1.5)
     with pytest.raises(WindowError):
         closed_form_stopping_time(model, 16, 1e-3, 1.5)
     with pytest.raises(ValueError):

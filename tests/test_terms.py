@@ -371,6 +371,26 @@ def test_deep_terms_raise_a_named_error():
         render_term(node(P, edge, FREE))
 
 
+def test_deep_terms_compare_without_recursion():
+    # Two equal chains built apart share no nodes, so equality walks all
+    # 5,000 levels; it must not need the call stack to do so.
+    first, second = plus_chain(5_000), plus_chain(5_000)
+    assert first is not second and first == second and not first != second
+    assert len({first, second}) == 1 and {first: 1, second: 2} == {first: 2}
+    assert first != plus_chain(4_999) and first != node(P, plus_chain(4_999), ELEM_PLUS)
+    assert first != node(T, first.left, first.right)
+    # equal stored hashes and depths still leave the ops and leaves to compare
+    forged = node(T, first.left, first.right)
+    object.__setattr__(forged, "_hash", hash(first))
+    assert first != forged and forged != second
+    swapped = node(P, ELEM_PLUS, FREE)
+    object.__setattr__(swapped, "_hash", hash(node(P, FREE, ELEM_PLUS)))
+    assert swapped != node(P, FREE, ELEM_PLUS)
+    assert first != FREE and first != "P(M0,M0)"
+    with pytest.raises(TermDepthError):
+        compile_term(second)
+
+
 def test_dual_evaluation_examples():
     doc = json.loads(evaluate_gates(term_of(7), (1, 2, 3, 4)).to_json())
     assert doc == {
