@@ -19,9 +19,8 @@ from pathlib import Path
 from .terms import check_class_bound
 
 MIN_DIM = 8
-# Largest ring.  RK4 works on dense D x D matrices, so its cost grows as
-# D^3: `qarith verify all -D 1024` took about 90 s and 200 MB on a
-# 2-vCPU machine, and D = 2048 would take about eight times as long.
+# Largest ring.  One RK4 call costs O(D^2 log steps), with steps growing
+# as D at the window edge: about 15 ms at D = 1024 on a 2-vCPU machine.
 MAX_DIM = 1024
 MAX_DT = 0.01
 MAX_SAMPLES = 100_000

@@ -110,10 +110,25 @@ class HamiltonianModel:
         return tuple(np.lib.stride_tricks.sliding_window_view(t, self.dim) for t in tables)
 
     @cached_property
+    def generator_column(self) -> np.ndarray:
+        """First column of the shift generator G = F diag(theta) F^H.
+
+        G[x, y] depends on x - y mod D alone, so G is circulant and this
+        column is all of it:  c[j] = (1/D) sum_k theta_k e^{2 pi i k j / D}.
+        The sum is taken term by term over a table of the D roots of unity,
+        with no FFT, eigendecomposition or Dirichlet table, so RK4 built on
+        it stays independent of the closed form.
+        """
+        roots = np.exp(2j * np.pi * np.arange(self.dim) / self.dim)
+        powers = np.outer(np.arange(self.dim), self.ring_labels) % self.dim
+        return roots[powers] @ self.shift_eigenphases / self.dim
+
+    @cached_property
     def shift_generator(self) -> np.ndarray:
-        """The coupling operator on the ring as a dense Hermitian matrix."""
-        f = self.fourier_matrix
-        return (f * self.shift_eigenphases) @ f.conj().T
+        """The coupling operator on the ring as a dense Hermitian matrix:
+        the circulant G[x, y] = c[(x - y) mod D] of ``generator_column``."""
+        index = np.arange(self.dim)
+        return self.generator_column[np.subtract.outer(index, index) % self.dim]
 
     @cached_property
     def ring_energies(self) -> np.ndarray:
@@ -211,25 +226,49 @@ def subsystem_evolve(model: HamiltonianModel, n: int, m: int, t: float) -> Ket:
     return _ring_ket(model, _propagate(model, n, m, t), ())
 
 
-def _rk4_segment(h_matrix: np.ndarray, psi: np.ndarray, duration: float, max_step: float) -> np.ndarray:
-    """Classical RK4 for psi' = -i H psi over ``duration``.
+def _cyclic_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First column of the product of the circulants with first columns a, b."""
+    full = np.convolve(a, b)
+    out = full[: len(a)]
+    out[: len(a) - 1] += full[len(a):]
+    return out
+
+
+def _column_power(column: np.ndarray, exponent: int) -> np.ndarray:
+    """First column of C^exponent, exponent >= 1, for the circulant C with
+    first column ``column``, by repeated squaring."""
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = column if result is None else _cyclic_convolve(result, column)
+        exponent >>= 1
+        if exponent:
+            column = _cyclic_convolve(column, column)
+    return result
+
+
+def _rk4_column(h_column: np.ndarray, duration: float, max_step: float) -> np.ndarray:
+    """Classical RK4 for psi' = -i H psi over ``duration``, for a circulant H
+    given by its first column; returns the propagator's first column.
 
     H is constant, so one RK4 step of length h is the fixed matrix
     P = I + A + A^2/2 + A^3/6 + A^4/24 with A = -i h H: the degree-4
-    Taylor polynomial of exp(A), built here in Horner form.  All steps
-    together are P^steps, taken by repeated squaring; no
-    eigendecomposition is involved, so the integrator stays independent
-    of the spectral and closed-form routes.
+    Taylor polynomial of exp(A), built here in Horner form.  A polynomial
+    in a circulant is circulant, so P and P^steps are their first columns,
+    and a product of two is a cyclic convolution of their columns: O(D^2)
+    per product and O(D^2 log steps) for all steps together, taken by
+    repeated squaring.  No FFT and no eigendecomposition is involved, so
+    the integrator stays independent of the spectral and closed-form
+    routes.
     """
-    if duration <= 0.0:
-        return psi
+    unit = np.zeros(len(h_column), dtype=complex)
+    unit[0] = 1.0
     steps = max(1, math.ceil(duration / max_step))
-    a = (-1j * (duration / steps)) * h_matrix
-    eye = np.eye(len(psi))
-    step = eye + a / 4.0
+    a = (-1j * (duration / steps)) * h_column
+    step = unit + a / 4.0
     for k in (3.0, 2.0, 1.0):
-        step = eye + (a / k) @ step
-    return np.linalg.matrix_power(step, steps) @ psi
+        step = unit + _cyclic_convolve(a / k, step)
+    return _column_power(step, steps)
 
 
 def evolve_numeric(
@@ -250,10 +289,9 @@ def evolve_numeric(
     model.check_window(n, m)
     rate = abs(n) * math.pi
     max_step = min(dt, MAX_STEP_PHASE / rate) if rate > 0.0 else dt
-    psi = np.zeros(model.dim, dtype=complex)
-    psi[model.ring_index(m)] = 1.0
-    psi = _rk4_segment(n * model.shift_generator, psi, min(t, GATE_TIME), max_step)
-    return _ring_ket(model, psi, (n,))
+    # The propagator is circulant: it sends |m> to its first column rolled by m.
+    column = _rk4_column(n * model.generator_column, min(t, GATE_TIME), max_step)
+    return _ring_ket(model, np.roll(column, model.ring_index(m)), (n,))
 
 
 @dataclass(frozen=True)

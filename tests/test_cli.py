@@ -586,8 +586,7 @@ def _costly(argv):
     if command == "verify":
         suite = argv[1]
         return (
-            dim == str(MAX_DIM) and suite in ("dynamics", "stopping", "all")
-            or bound == "3" and suite in ("bijection", "church", "all")
+            bound == "3" and suite in ("bijection", "church", "all")
             or bound == "2" and suite in ("church", "all")
         )
     if command == "enumerate":

@@ -64,6 +64,14 @@ def test_generator_spectrum_and_structure():
     assert np.max(np.abs(g - g.conj().T)) <= 1e-12
     f = model.fourier_matrix
     assert np.max(np.abs(f @ f.conj().T - np.eye(16))) <= 1e-12
+    # The circulant built from the generator's first column is the
+    # spectral definition F diag(theta) F^H.
+    for dim in (16, 256, 1024):
+        model = build_model(dim)
+        f = model.fourier_matrix
+        spectral = (f * model.shift_eigenphases) @ f.conj().T
+        assert np.max(np.abs(model.shift_generator - spectral)) <= 1e-12
+        assert np.array_equal(model.shift_generator[:, 0], model.generator_column)
 
 
 def test_unit_pulse_is_unit_shift():
@@ -253,14 +261,19 @@ def test_numeric_matches_exact(n, m):
         assert abs(approx.norm() - 1.0) <= 1e-6
 
 
-def reference_rk4(model, n, m, t, dt):
-    """evolve_numeric's RK4 of the pulse as an explicit loop of k1..k4 steps."""
-    h_matrix = n * model.shift_generator
+def rk4_step(n, t, dt):
+    """evolve_numeric's RK4 step count and step length for the pulse of n."""
     rate = abs(n) * math.pi
     max_step = dt if rate <= 0.0 else min(dt, MAX_STEP_PHASE / rate)
     duration = min(t, GATE_TIME)
     steps = max(1, math.ceil(duration / max_step))
-    h = duration / steps
+    return steps, duration / steps
+
+
+def reference_rk4(model, n, m, t, dt):
+    """evolve_numeric's RK4 of the pulse as an explicit loop of k1..k4 steps."""
+    h_matrix = n * model.shift_generator
+    steps, h = rk4_step(n, t, dt)
 
     def deriv(v):
         return -1j * (h_matrix @ v)
@@ -298,20 +311,20 @@ def test_numeric_matches_reference_step_loop(n, m, t):
 
 
 def spy_powers(monkeypatch):
-    """The exponents evolve_numeric raises its RK4 step matrices to, in order."""
+    """The exponents evolve_numeric raises its RK4 step columns to, in order."""
     powers = []
-    real = np.linalg.matrix_power
+    real = dynamics._column_power
 
-    def spy(matrix, exponent):
+    def spy(column, exponent):
         powers.append(exponent)
-        return real(matrix, exponent)
+        return real(column, exponent)
 
-    monkeypatch.setattr(np.linalg, "matrix_power", spy)
+    monkeypatch.setattr(dynamics, "_column_power", spy)
     return powers
 
 
 def test_numeric_step_count(monkeypatch):
-    # One power of the pulse's step matrix per call, also past the pulse.
+    # One power of the pulse's step column per call, also past the pulse.
     # Its exponent comes from MAX_STEP_PHASE and dt: the pulses of n = 15
     # and -7 are limited by their phase rate |n| pi, the pulse of n = 1 by dt.
     model = build_model(32)
@@ -332,17 +345,18 @@ def test_frozen_free_segment_skipped_exactly(monkeypatch):
     # amplitudes.
     model = build_model(64)
     pulses = []
-    real = dynamics._rk4_segment
+    real = dynamics._rk4_column
 
-    def spy(h_matrix, psi, duration, max_step):
-        pulses.append(real(h_matrix, psi, duration, max_step))
+    def spy(h_column, duration, max_step):
+        pulses.append(real(h_column, duration, max_step))
         return pulses[-1]
 
-    monkeypatch.setattr(dynamics, "_rk4_segment", spy)
+    monkeypatch.setattr(dynamics, "_rk4_column", spy)
     got = evolve_numeric(model, 2, 3, 1.4, 0.005)
     assert len(pulses) == 1
-    frozen = real(np.zeros((model.dim, model.dim)), pulses[0], 0.4, 0.005)
-    assert list(got.items()) == list(dynamics._ring_ket(model, frozen, (2,)).items())
+    frozen = dynamics._cyclic_convolve(real(np.zeros(model.dim), 0.4, 0.005), pulses[0])
+    psi = np.roll(frozen, model.ring_index(3))
+    assert list(got.items()) == list(dynamics._ring_ket(model, psi, (2,)).items())
     assert list(got.items()) == list(evolve_numeric(model, 2, 3, 1.0, 0.005).items())
 
 
@@ -359,8 +373,43 @@ def test_default_route_builds_no_dense_matrix():
     evolve_exact(model, 2, 3, 0.4)
     subsystem_evolve(model, 2, 3, 0.4)
     detect_stopping_time(model, 2, 3, 1e-3, 1.5)
+    evolve_numeric(model, 2, 3, 0.4)  # RK4 works on first columns
+    evolve_numeric(model, -15, 0, 1.4)
     assert "fourier_matrix" not in model.__dict__
     assert "shift_generator" not in model.__dict__
+
+
+def dense_rk4_power(model, n, m, t, dt):
+    """evolve_numeric's RK4 as one dense power of the Horner step matrix."""
+    steps, h = rk4_step(n, t, dt)
+    a = (-1j * h) * (n * model.shift_generator)
+    eye = np.eye(model.dim)
+    step = eye + a / 4.0
+    for k in (3.0, 2.0, 1.0):
+        step = eye + (a / k) @ step
+    psi = np.zeros(model.dim, dtype=complex)
+    psi[model.ring_index(m)] = 1.0
+    return np.linalg.matrix_power(step, steps) @ psi
+
+
+@pytest.mark.parametrize("dim", [8, 64, 256])
+def test_column_rk4_matches_dense_step_power(dim):
+    model = build_model(dim)
+    half = dim // 2
+    for n, m, t in [(half - 1, 0, 1.0), (-(half - 1), 0, 0.6), (1, half - 2, 1.0), (2, -1, 0.3)]:
+        got = dense_ring(model, evolve_numeric(model, n, m, t, 0.005), n)
+        want = dense_rk4_power(model, n, m, t, 0.005)
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+
+@pytest.mark.parametrize("dim", [256, 1024])
+def test_numeric_matches_exact_at_window_edges(dim):
+    model = build_model(dim)
+    half = dim // 2
+    for n, m in [(half - 1, 0), (-(half - 1), 0), (1, half - 2)]:
+        for t in (0.3, 1.0):
+            approx = evolve_numeric(model, n, m, t, 0.005)
+            assert approx.distance(evolve_exact(model, n, m, t)) <= 1e-6
 
 
 @pytest.mark.parametrize("dim", [8, 32, 256, 1024], ids="default-{}".format)

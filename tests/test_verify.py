@@ -331,7 +331,7 @@ FAULTS = (
     Fault(
         "check_numeric_vs_exact",
         # RK4 drops its fourth-order term
-        _edit(dynamics, "_rk4_segment", ("step = eye + a / 4.0", "step = eye")),
+        _edit(dynamics, "_rk4_column", ("step = unit + a / 4.0", "step = unit")),
         r"^30 runs, worst distance [1-9]\.\d\de-06",
     ),
     Fault(
