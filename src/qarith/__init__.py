@@ -36,7 +36,6 @@ from .states import Ket, ZeroNormError, basis_ket, superposition
 from .terms import (
     FREE,
     MAX_TERM_DEPTH,
-    BijectionReport,
     BinOp,
     EvalReport,
     FreeVar,
@@ -101,7 +100,6 @@ __all__ = [
     "superposition",
     "FREE",
     "MAX_TERM_DEPTH",
-    "BijectionReport",
     "BinOp",
     "EvalReport",
     "FreeVar",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failures or gate/arithmetic
 disagreement, 2 unreadable input or bad arguments, 3 gate domain
-violations, 4 ring window violations.
+violations, 4 ring window violations, 141 (128 + SIGPIPE) stdout closed
+by its reader.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import contextlib
 import json
 import os
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -53,6 +55,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_WINDOW = 4
+EXIT_PIPE = 141
 
 # Exit code of each exception the commands raise, looked up along the
 # exception's method resolution order so the most specific entry wins.
@@ -68,9 +71,9 @@ _EXIT_CODES: dict[type[Exception], int] = {
 # forms are at most MAX_TERM_DEPTH deep, so they parse back.
 _MAX_INDEX_CLASS = MAX_TERM_DEPTH - 1
 
-# Most terms one enumerate prints: the whole list is built before the
-# first line, and 100,000 class-3 terms took about 5 s and 50 MB on a
-# 2-vCPU machine.
+# Most terms one enumerate prints.  Lines stream as their terms are
+# built, so the limit bounds time: 100,000 class-12 terms take about
+# 17-27 s on a 2-vCPU machine.
 _MAX_ENUMERATE_LIMIT = 100_000
 
 _GATE_NAMES = {
@@ -93,29 +96,35 @@ def _read_text(path: str) -> str:
 def _write_all(texts: dict[str, str]) -> None:
     """Write each text to its path, all of them or none.
 
-    Each text goes to a temporary file beside its target first; only when
-    every one is written are they renamed into place.  On any failure the
-    temporary files, and the targets already renamed, are removed.
+    Each target gets a temporary directory beside it, holding its new text
+    and a hard link to its earlier file, if any.  Only when every text is
+    written are they renamed into place.  On any failure the targets
+    already renamed get their earlier file back, or are removed if they
+    had none.  The temporary directories go either way.
     """
-    umask = os.umask(0)
-    os.umask(umask)
-    staged: dict[str, str] = {}
+    asides: dict[str, str] = {}
     placed: list[str] = []
     try:
         for path, text in texts.items():
-            fd, staged[path] = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-            with open(fd, "w") as f:
-                f.write(text)
-            # mkstemp makes the file private; give it the mode open() would.
-            os.chmod(staged[path], 0o666 & ~umask)
-        for path, temp in staged.items():
-            os.replace(temp, path)
+            aside = asides[path] = tempfile.mkdtemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+            Path(aside, "new").write_text(text)
+            if os.path.isfile(path):
+                os.link(path, os.path.join(aside, "old"), follow_symlinks=False)
+        for path, aside in asides.items():
+            os.replace(os.path.join(aside, "new"), path)
             placed.append(path)
     except OSError as exc:
-        for leftover in (*staged.values(), *placed):
+        for done in placed:
+            old = os.path.join(asides[done], "old")
             with contextlib.suppress(OSError):
-                os.remove(leftover)
+                if os.path.lexists(old):
+                    os.replace(old, done)
+                else:
+                    os.remove(done)
         raise ValueError(f"cannot write {path!r}: {exc.strerror or exc}") from exc
+    finally:
+        for aside in asides.values():
+            shutil.rmtree(aside, ignore_errors=True)
 
 
 def _parse_roles(text: str | None) -> tuple[int, ...] | None:
@@ -185,8 +194,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         )
     if not 0 <= args.limit <= _MAX_ENUMERATE_LIMIT:
         raise ValueError(f"LIMIT must be in 0..{_MAX_ENUMERATE_LIMIT}, got {args.limit}")
-    for item in enumerate_class(args.klass, args.limit):
-        print(f"{item.delta}\t{render_term(item.term)}\t{render_infix(item.term)}")
+    for delta, term in enumerate_class(args.klass, args.limit):
+        print(f"{delta}\t{render_term(term)}\t{render_infix(term)}")
     return EXIT_OK
 
 
@@ -315,7 +324,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so a reader that closes early surfaces below
+        # rather than in the interpreter's final flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Whatever is still buffered goes nowhere, quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ProgramStepError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.cause if isinstance(exc, ProgramStepError) else exc

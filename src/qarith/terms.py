@@ -216,21 +216,14 @@ def decompose_index(delta: int) -> tuple[int, int, int] | None:
     return (int(term.op), index_of(term.left), index_of(term.right))
 
 
-@dataclass(frozen=True)
-class IndexedTerm:
-    term: Term
-    klass: int
-    delta: int
-
-
-def enumerate_class(k: int, limit: int | None = None) -> list[IndexedTerm]:
-    """Terms of class k in index order, optionally truncated to ``limit``."""
+def enumerate_class(k: int, limit: int | None = None) -> Iterator[tuple[int, Term]]:
+    """Lazy (index, term) pairs of class k in index order, at most ``limit`` of them."""
     if k < 0:
         raise ValueError(f"class must be non-negative, got {k}")
     size = class_size(k)
     count = size if limit is None else max(0, min(limit, size))
     base = 0 if k == 0 else cumulative_size(k - 1)
-    return [IndexedTerm(term_of(base + r), k, base + r) for r in range(count)]
+    return ((delta, term_of(delta)) for delta in range(base, base + count))
 
 
 # --- text forms ------------------------------------------------------------
@@ -494,45 +487,18 @@ def evaluate_gates(term: Term, args: tuple[int, ...]) -> EvalReport:
 # --- indexing self-check ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    max_class: int
-    counts: tuple[int, ...]
-    total: int
-    failures: tuple[dict, ...]
+def bijection_report(max_class: int) -> tuple[dict, ...]:
+    """Failures of an exhaustive index_of/term_of check up to a class bound.
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_class": self.max_class,
-            "counts": {str(k): c for k, c in enumerate(self.counts)},
-            "total": self.total,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
-
-
-def bijection_report(max_class: int) -> BijectionReport:
-    """Exhaustively check index_of/term_of agree up to a class bound.
-
-    The bound is capped at MAX_CLASS_BOUND.  Any failure is recorded
-    with the index, the term, and the clashing partner, so a broken
-    scheme is directly inspectable.
+    The bound is capped at MAX_CLASS_BOUND.  Each failure records the
+    index, the term, and the clashing partner, so a broken scheme is
+    directly inspectable; no failures means the check passed.
     """
     check_class_bound(max_class)
     seen: dict[Term, int] = {}
     failures: list[dict] = []
-    counts = []
     for k in range(max_class + 1):
-        base = 0 if k == 0 else cumulative_size(k - 1)
-        n = class_size(k)
-        counts.append(n)
-        for r in range(n):
-            delta = base + r
-            term = term_of(delta)
+        for delta, term in enumerate_class(k):
             if term in seen:
                 failures.append(
                     {
@@ -564,9 +530,4 @@ def bijection_report(max_class: int) -> BijectionReport:
                         "index_of": back,
                     }
                 )
-    return BijectionReport(
-        max_class=max_class,
-        counts=tuple(counts),
-        total=sum(counts),
-        failures=tuple(failures),
-    )
+    return tuple(failures)

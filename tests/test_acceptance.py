@@ -36,6 +36,8 @@ from qarith.terms import (
     arity,
     bijection_report,
     class_of,
+    class_size,
+    cumulative_size,
     decompose_index,
     enumerate_class,
     index_of,
@@ -277,12 +279,12 @@ GOLDEN_INFIX = [
 
 
 def test_acceptance_07_golden_class1(announce):
-    items = enumerate_class(1, 16)
+    items = list(enumerate_class(1, 16))
     failures = 0
-    for item, (delta, split), infix in zip(items, GOLDEN_SPLITS, GOLDEN_INFIX):
-        if item.delta != delta or decompose_index(delta) != split:
+    for (index, term), (delta, split), infix in zip(items, GOLDEN_SPLITS, GOLDEN_INFIX):
+        if index != delta or decompose_index(delta) != split:
             failures += 1
-        if render_infix(item.term) != infix:
+        if render_infix(term) != infix:
             failures += 1
     ok = failures == 0 and len(items) == 16
     announce(7, ok, f"class-1 table indices 3..18, {failures} mismatches")
@@ -291,7 +293,8 @@ def test_acceptance_07_golden_class1(announce):
 
 def test_acceptance_08_bijection(announce):
     start = time.monotonic()
-    report = bijection_report(2)
+    failures = bijection_report(2)
+    counts = tuple(class_size(k) for k in range(3))
     roundtrip_failures = 0
     seen = {}
     for delta in range(10001):
@@ -300,16 +303,16 @@ def test_acceptance_08_bijection(announce):
             roundtrip_failures += 1
         seen[term] = delta
     elapsed = time.monotonic() - start
-    ok = report.ok and report.counts == (3, 16, 704) and roundtrip_failures == 0
+    ok = not failures and counts == (3, 16, 704) and roundtrip_failures == 0
     ok = ok and elapsed < BIJECTION_CAP
     announce(
         8,
         ok,
-        f"{report.total} terms of class <= 2 and indices 0..10000, "
-        f"0 collisions, {elapsed:.1f}s" if ok else f"failures={report.failures[:2]}",
+        f"{cumulative_size(2)} terms of class <= 2 and indices 0..10000, "
+        f"0 collisions, {elapsed:.1f}s" if ok else f"failures={failures[:2]}",
     )
-    assert report.ok
-    assert report.counts == (3, 16, 704)
+    assert not failures
+    assert counts == (3, 16, 704)
     assert roundtrip_failures == 0
     assert elapsed < BIJECTION_CAP
 

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -179,6 +180,38 @@ def test_evolve_out_writes_both_or_neither(tmp_path, capsys, monkeypatch):
     assert err.splitlines() == ["error: cannot write 'x.json': Is a directory"]
     assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
     assert not any((tmp_path / "x.json").iterdir())
+
+
+def test_evolve_out_keeps_earlier_files_on_failure(tmp_path, capsys, monkeypatch):
+    # The csv is renamed into place before the json fails; it gets its
+    # earlier content back.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.csv").write_text("old")
+    (tmp_path / "x.json").mkdir()
+    code, out, err = run_cli(capsys, "evolve", "2", "3", "--out", "x")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: cannot write 'x.json': Is a directory"]
+    assert (tmp_path / "x.csv").read_text() == "old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+    assert not any((tmp_path / "x.json").iterdir())
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_evolve_out_replaces_earlier_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("x.csv", "x.json"):
+        (tmp_path / name).write_text("old")
+    umask = os.umask(0o027)
+    try:
+        code, _, _ = run_cli(capsys, "evolve", "2", "3", "--out", "x")
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+    assert (tmp_path / "x.csv").read_text().startswith("t,fidelity,leakage\n")
+    assert json.loads((tmp_path / "x.json").read_text())["n"] == 2
+    # Written as open() would write a new file.
+    assert {(tmp_path / name).stat().st_mode & 0o777 for name in ("x.csv", "x.json")} == {0o640}
 
 
 @pytest.mark.parametrize("prefix", ["", "dir/"])
@@ -416,6 +449,27 @@ def test_long_sum_exits_2_without_traceback():
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: term nests deeper") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["enumerate", "apply"])
+def test_closed_stdout_exits_141_quietly(tmp_path, command):
+    # Both outputs are far larger than a pipe buffer, so the command is
+    # still writing when its reader goes away, as in `qarith ... | head -1`.
+    big = tmp_path / "big.json"
+    terms = [{"labels": [n, 1], "re": 1.0, "im": 0.0} for n in range(20_000)]
+    big.write_text(json.dumps({"registers": 2, "terms": terms}))
+    argv = {"enumerate": ["enumerate", "3", "100000"], "apply": ["apply", "plus", str(big)]}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qarith", *argv[command]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first.startswith(b"723\t" if command == "enumerate" else b'{"registers": 2')
+    assert err == ""
 
 
 def test_show_indices_stop_below_class_13(capsys):
