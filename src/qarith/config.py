@@ -22,6 +22,9 @@ MIN_DIM = 8
 # Largest ring.  One RK4 call costs O(D^2 log steps), with steps growing
 # as D at the window edge: about 15 ms at D = 1024 on a 2-vCPU machine.
 MAX_DIM = 1024
+# Integrator step bounds.  Far below MIN_DT rounding costs RK4 its
+# accuracy, and near 1e-308 the step count overflows.
+MIN_DT = 1e-9
 MAX_DT = 0.01
 MAX_SAMPLES = 100_000
 
@@ -49,9 +52,9 @@ def check_dim(dim: object) -> None:
 
 
 def check_dt(dt: object) -> None:
-    """Integrator step bound, in (0, MAX_DT]."""
-    if not (0.0 < check_number(dt, "dt") <= MAX_DT):
-        raise ValueError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
+    """Integrator step bound, in [MIN_DT, MAX_DT]."""
+    if not (MIN_DT <= check_number(dt, "dt") <= MAX_DT):
+        raise ValueError(f"dt must lie in [{MIN_DT}, {MAX_DT}], got {dt!r}")
 
 
 def check_epsilon(epsilon: object) -> None:
@@ -88,6 +91,12 @@ class WindowError(ValueError):
         )
 
 
+# Config document keys and the fields they set, in report order.
+_JSON_FIELDS = {
+    "D": "dim", "epsilon": "epsilon", "dt": "dt", "t_max": "t_max", "class_bound": "class_bound",
+}
+
+
 @dataclass(frozen=True)
 class Config:
     """Shared knobs: ring size, detection threshold, integrator step, bounds."""
@@ -111,26 +120,16 @@ class Config:
         return dataclasses.replace(self, **updates) if updates else self
 
     def to_json_dict(self) -> dict:
-        return {
-            "D": self.dim,
-            "epsilon": self.epsilon,
-            "dt": self.dt,
-            "t_max": self.t_max,
-            "class_bound": self.class_bound,
-        }
+        return {key: getattr(self, field) for key, field in _JSON_FIELDS.items()}
 
     @staticmethod
     def from_json_dict(obj: object) -> Config:
         if not isinstance(obj, dict):
             raise ValueError("config document must be a JSON object")
-        known = {"D": "dim", "epsilon": "epsilon", "dt": "dt", "t_max": "t_max",
-                 "class_bound": "class_bound"}
-        kwargs = {}
-        for key, value in obj.items():
-            if key not in known:
+        for key in obj:
+            if key not in _JSON_FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[known[key]] = value
-        return Config(**kwargs)
+        return Config(**{_JSON_FIELDS[key]: value for key, value in obj.items()})
 
     @staticmethod
     def from_file(path: str | Path) -> Config:

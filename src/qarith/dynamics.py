@@ -26,6 +26,7 @@ from .config import (  # noqa: F401  (the bounds stay importable from here)
     MAX_DT,
     MAX_SAMPLES,
     MIN_DIM,
+    MIN_DT,
     WindowError,
     check_dim,
     check_dt,

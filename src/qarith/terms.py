@@ -492,13 +492,20 @@ def bijection_report(max_class: int) -> tuple[dict, ...]:
 
     The bound is capped at MAX_CLASS_BOUND.  Each failure records the
     index, the term, and the clashing partner, so a broken scheme is
-    directly inspectable; no failures means the check passed.
+    directly inspectable; no failures means the check passed.  The
+    enumeration must give exactly the indices 0 .. cumulative_size - 1 in
+    order; a "gap" failure names the index expected next and the one
+    given, None if the enumeration ended.
     """
     check_class_bound(max_class)
     seen: dict[Term, int] = {}
     failures: list[dict] = []
+    expected = 0
     for k in range(max_class + 1):
         for delta, term in enumerate_class(k):
+            if delta != expected:
+                failures.append({"kind": "gap", "expected_index": expected, "index": delta})
+            expected = delta + 1
             if term in seen:
                 failures.append(
                     {
@@ -530,4 +537,6 @@ def bijection_report(max_class: int) -> tuple[dict, ...]:
                         "index_of": back,
                     }
                 )
+    if expected < cumulative_size(max_class):
+        failures.append({"kind": "gap", "expected_index": expected, "index": None})
     return tuple(failures)

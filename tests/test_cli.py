@@ -285,6 +285,7 @@ def test_mistyped_config_exits_2(tmp_path, capsys, doc):
         ("dim", "-D", 7, lambda: build_model(7)),
         ("dim", "-D", MAX_DIM + 2, lambda: build_model(MAX_DIM + 2)),
         ("dt", "--dt", 0.02, lambda: evolve_numeric(build_model(32), 2, 3, 1.0, 0.02)),
+        ("dt", "--dt", 5e-324, lambda: evolve_numeric(build_model(32), 2, 3, 1.0, 5e-324)),
         ("epsilon", "--epsilon", 0.5,
          lambda: detect_stopping_time(build_model(32), 2, 3, 0.5, 1.5)),
         ("t_max", "--t-max", math.inf,
@@ -294,7 +295,7 @@ def test_mistyped_config_exits_2(tmp_path, capsys, doc):
         (None, "--samples", MAX_SAMPLES + 1,
          lambda: detect_stopping_time(build_model(32), 2, 3, 1e-3, 1.5, MAX_SAMPLES + 1)),
     ],
-    ids=["dim", "dim-max", "dt", "epsilon", "t_max", "class_bound", "samples"],
+    ids=["dim", "dim-max", "dt", "dt-min", "epsilon", "t_max", "class_bound", "samples"],
 )
 def test_out_of_range_bound_rejected_alike(capsys, field, flag, value, layer):
     with pytest.raises(ValueError) as from_layer:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qarith import gates
+from qarith import gates, terms
 from qarith.gates import GateKind, GateProgram, GateStep
 from qarith.logic import eval_with_gates
 from qarith.states import Ket
@@ -164,6 +164,17 @@ def test_bijection_report_class2():
     assert bijection_report(2) == ()
     assert [class_size(k) for k in range(3)] == [3, 16, 704]
     assert cumulative_size(2) == 723
+
+
+def test_bijection_report_sees_a_skipped_term(monkeypatch):
+    # An enumeration one term short in every class: every index it gives
+    # round-trips, so only the index sequence shows the lost terms.
+    monkeypatch.setattr(terms, "enumerate_class", lambda k: enumerate_class(k, class_size(k) - 1))
+    assert bijection_report(2) == (
+        {"kind": "gap", "expected_index": 2, "index": 3},
+        {"kind": "gap", "expected_index": 18, "index": 19},
+        {"kind": "gap", "expected_index": 722, "index": None},
+    )
 
 
 def test_render_prefix():
