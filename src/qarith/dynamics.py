@@ -78,9 +78,6 @@ class HamiltonianModel:
     def ring_index(self, label: int) -> int:
         return (label + self.half - 1) % self.dim
 
-    def label_at(self, index: int) -> int:
-        return index - self.half + 1
-
     @cached_property
     def ring_labels(self) -> np.ndarray:
         return np.arange(-self.half + 1, self.half + 1)
@@ -92,7 +89,7 @@ class HamiltonianModel:
 
     @cached_property
     def fourier_matrix(self) -> np.ndarray:
-        """Columns are the shift generator's eigenvectors (plane waves)."""
+        # Read only by perfbench/ring_dynamics.py's set-up; no route reads it.
         x = self.ring_labels.reshape(-1, 1)
         k = self.ring_labels.reshape(1, -1)
         return np.exp(2j * np.pi * k * x / self.dim) / math.sqrt(self.dim)
@@ -116,27 +113,33 @@ class HamiltonianModel:
 
         G[x, y] depends on x - y mod D alone, so G is circulant and this
         column is all of it:  c[j] = (1/D) sum_k theta_k e^{2 pi i k j / D}.
-        The sum is taken term by term over a table of the D roots of unity,
-        with no FFT, eigendecomposition or Dirichlet table, so RK4 built on
-        it stays independent of the closed form.
+        The sum is taken term by term, one eigenphase k at a time, over a
+        table of the D roots of unity, in O(D) memory: no D x D array, no
+        FFT, eigendecomposition or Dirichlet table, so RK4 built on it
+        stays independent of the closed form.
         """
         roots = np.exp(2j * np.pi * np.arange(self.dim) / self.dim)
-        powers = np.outer(np.arange(self.dim), self.ring_labels) % self.dim
-        return roots[powers] @ self.shift_eigenphases / self.dim
+        j = np.arange(self.dim)
+        column = np.zeros(self.dim, dtype=complex)
+        for k, theta in zip(self.ring_labels.tolist(), self.shift_eigenphases.tolist()):
+            column += theta * roots[(k * j) % self.dim]
+        return column / self.dim
 
     @cached_property
     def shift_generator(self) -> np.ndarray:
-        """The coupling operator on the ring as a dense Hermitian matrix:
-        the circulant G[x, y] = c[(x - y) mod D] of ``generator_column``."""
+        # Read only by perfbench/ring_dynamics.py's set-up; no route reads it.
         index = np.arange(self.dim)
         return self.generator_column[np.subtract.outer(index, index) % self.dim]
 
     @cached_property
     def ring_energies(self) -> np.ndarray:
-        # No free ring term; kept because perfbench/ring_dynamics.py's set-up reads it.
+        # Read only by perfbench/ring_dynamics.py's set-up; no free ring term.
         return np.zeros(self.dim)
 
     def check_window(self, n: int, m: int) -> None:
+        for label in (n, m):
+            if not isinstance(label, int) or isinstance(label, bool):
+                raise ValueError(f"register label must be an integer, got {label!r}")
         if abs(n) + abs(m) >= self.half:
             raise WindowError(n, m, self.dim)
 
@@ -146,7 +149,7 @@ def build_model(dim: int = 32) -> HamiltonianModel:
 
 
 def _check_time(t: float) -> float:
-    t = float(t)
+    t = check_number(t, "time")
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"time must be finite and non-negative, got {t!r}")
     return t

@@ -17,8 +17,6 @@ from collections.abc import Callable, Iterator, Mapping
 # Components with squared magnitude below this are dropped at construction.
 PRUNE_EPS_SQ = 1e-30
 
-NORM_TOL = 1e-12
-
 # Python's bound on the decimal digits of an int converted to or from text;
 # 0 means none, as on interpreters older than the bound (before 3.10.7).
 _int_text_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -158,9 +156,6 @@ class Ket:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
     def normalized(self) -> Ket:
         n = self.norm()
         if n == 0.0:
@@ -198,9 +193,6 @@ class Ket:
         return math.sqrt(
             sum(abs(self._amps.get(k, 0j) - other._amps.get(k, 0j)) ** 2 for k in keys)
         )
-
-    def approx_eq(self, other: Ket, tol: float = 1e-12) -> bool:
-        return self._registers == other._registers and self.distance(other) <= tol
 
     def tensor(self, other: Ket) -> Ket:
         """Product ket; the register tuples concatenate."""
@@ -269,9 +261,9 @@ class Ket:
                     raise ValueError(f"register label must be an integer, got {v!r}")
             re = entry.get("re", 0.0)
             im = entry.get("im", 0.0)
-            if isinstance(re, bool) or isinstance(im, bool):
-                raise ValueError("amplitude parts must be numbers")
-            if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+            if isinstance(re, bool) or isinstance(im, bool) or not (
+                isinstance(re, (int, float)) and isinstance(im, (int, float))
+            ):
                 raise ValueError("amplitude parts must be numbers")
             key = tuple(labels)
             if key in amps:

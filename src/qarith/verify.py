@@ -186,21 +186,13 @@ def check_gate_window(config: Config, rng: np.random.Generator) -> CheckResult:
     return CheckResult("gate_window_exhaustive", ok, detail)
 
 
-_GATE_CASES = (
-    (gates.GateKind.PLUS, 2, False),
-    (gates.GateKind.MINUS, 2, False),
-    (gates.GateKind.TIMES_STRICT, 2, True),
-    (gates.GateKind.TIMES_REVERSIBLE, 3, False),
-)
-
-
-def _gate_sample(rng: np.random.Generator, registers: int, strict: bool, support: int) -> Ket:
+def _gate_sample(rng: np.random.Generator, kind: gates.GateKind, support: int) -> Ket:
     return _random_ket(
         rng,
-        registers,
+        gates.ARITY[kind],
         support,
-        nonzero_first=strict,
-        zero_last=registers == 3,
+        nonzero_first=kind is gates.GateKind.TIMES_STRICT,
+        zero_last=kind is gates.GateKind.TIMES_REVERSIBLE,
     )
 
 
@@ -210,15 +202,15 @@ def check_gate_norm_linearity(config: Config, rng: np.random.Generator) -> Check
     worst_norm = 0.0
     worst_lin = 0.0
     states = 0
-    for kind, registers, strict in _GATE_CASES:
+    for kind in gates.GateKind:
         for _ in range(100):
-            ket = _gate_sample(rng, registers, strict, int(rng.integers(1, 51)))
+            ket = _gate_sample(rng, kind, int(rng.integers(1, 51)))
             out = gates.apply_gate(ket, kind)
             worst_norm = max(worst_norm, abs(out.norm() - 1.0))
             states += 1
         for _ in range(30):
-            a = _gate_sample(rng, registers, strict, int(rng.integers(1, 25)))
-            b = _gate_sample(rng, registers, strict, int(rng.integers(1, 25)))
+            a = _gate_sample(rng, kind, int(rng.integers(1, 25)))
+            b = _gate_sample(rng, kind, int(rng.integers(1, 25)))
             alpha = complex(rng.normal(), rng.normal())
             beta = complex(rng.normal(), rng.normal())
             mixed = a.scaled(alpha).add_scaled(beta, b)

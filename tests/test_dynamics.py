@@ -2,12 +2,15 @@
 
 The closed-form propagator is cross-checked with scipy's expm applied
 to the same pulse Hamiltonian, so the spectral shortcut never gets to
-grade its own work.
+grade its own work.  The tests build their own dense matrices: the
+oracle's G comes from its spectral definition F diag(theta) F^H,
+independent of the generator column that RK4 integrates.
 """
 
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,11 +43,29 @@ def dense_ring(model, state, n):
     return vec
 
 
+def fourier(model):
+    """F: columns are the plane waves over the ring labels, G's eigenvectors."""
+    x = model.ring_labels
+    return np.exp(2j * np.pi * (np.outer(x, x) % model.dim) / model.dim) / math.sqrt(model.dim)
+
+
+def spectral_generator(model):
+    """The shift generator from its definition G = F diag(theta) F^H."""
+    f = fourier(model)
+    return (f * model.shift_eigenphases) @ f.conj().T
+
+
+def circulant(column):
+    """The circulant matrix C[x, y] = column[(x - y) mod D]."""
+    index = np.arange(len(column))
+    return column[np.subtract.outer(index, index) % len(column)]
+
+
 def oracle_ring(model, n, m, t):
     """Matrix-exponential propagation of the pulse; nothing acts after it."""
     psi = np.zeros(model.dim, dtype=complex)
     psi[model.ring_index(m)] = 1.0
-    return expm(-1j * min(t, GATE_TIME) * (n * model.shift_generator)) @ psi
+    return expm(-1j * min(t, GATE_TIME) * (n * spectral_generator(model))) @ psi
 
 
 def test_model_validation():
@@ -60,27 +81,25 @@ def test_generator_spectrum_and_structure():
     expected = {2.0 * math.pi * k / 16 for k in range(-7, 9)}
     actual = {round(float(v), 12) for v in model.shift_eigenphases}
     assert actual == {round(v, 12) for v in expected}
-    g = model.shift_generator
+    g = spectral_generator(model)
     assert np.max(np.abs(g - g.conj().T)) <= 1e-12
-    f = model.fourier_matrix
+    f = fourier(model)
     assert np.max(np.abs(f @ f.conj().T - np.eye(16))) <= 1e-12
-    # The circulant built from the generator's first column is the
-    # spectral definition F diag(theta) F^H.
+    # The spectral definition F diag(theta) F^H is the circulant of the
+    # generator column that RK4 integrates.
     for dim in (16, 256, 1024):
         model = build_model(dim)
-        f = model.fourier_matrix
-        spectral = (f * model.shift_eigenphases) @ f.conj().T
-        assert np.max(np.abs(model.shift_generator - spectral)) <= 1e-12
-        assert np.array_equal(model.shift_generator[:, 0], model.generator_column)
+        spectral = spectral_generator(model)
+        assert np.max(np.abs(spectral - circulant(model.generator_column))) <= 1e-12
 
 
 def test_unit_pulse_is_unit_shift():
     model = build_model(16)
-    f = model.fourier_matrix
+    f = fourier(model)
     step = f @ np.diag(np.exp(-1j * model.shift_eigenphases)) @ f.conj().T
     perm = np.zeros((16, 16))
     for idx in range(16):
-        perm[model.ring_index(model.label_at(idx) + 1), idx] = 1.0
+        perm[model.ring_index(model.ring_labels[idx] + 1), idx] = 1.0
     assert np.max(np.abs(step - perm)) <= 1e-12
 
 
@@ -175,7 +194,7 @@ def test_closed_form_edge_cases_match_expm_oracle(t):
         got = dynamics._dirichlet_rows(model, 3, np.array([shift]))[0]
         start = np.zeros(model.dim, dtype=complex)
         start[model.ring_index(3)] = 1.0
-        want = expm(-1j * shift * model.shift_generator) @ start
+        want = expm(-1j * shift * spectral_generator(model)) @ start
     assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
     assert np.linalg.norm(got - want) <= 1e-12
 
@@ -241,6 +260,41 @@ def test_time_validation():
         evolve_exact(model, 2, 3, math.inf)
 
 
+NOT_A_LABEL = "register label must be an integer, got "
+NOT_A_TIME = "time must be a number, got "
+
+
+# Each route once accepted these or failed past its checks: a float or
+# bool label moved the ring by the wrong amount, a float control label
+# indexed past the ring, and a time given as text was parsed.
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda model: evolve_exact(model, 2, 3.5, 1.0), NOT_A_LABEL, id="float-m"),
+        pytest.param(lambda model: subsystem_evolve(model, True, 3, 1.0), NOT_A_LABEL, id="bool-n"),
+        pytest.param(
+            lambda model: detect_stopping_time(model, 2.5, 3, 1e-3, 1.5), NOT_A_LABEL, id="float-n"
+        ),
+        pytest.param(
+            lambda model: detect_stopping_time(model, np.int64(2), 3, 1e-3, 1.5),
+            NOT_A_LABEL,
+            id="numpy-n",
+        ),
+        pytest.param(lambda model: evolve_numeric(model, 2, 3.0, 1.0), NOT_A_LABEL, id="float-rk4"),
+        pytest.param(
+            lambda model: closed_form_stopping_time(model, 2.0, 1e-3, 1.5),
+            NOT_A_LABEL,
+            id="float-closed",
+        ),
+        pytest.param(lambda model: evolve_exact(model, 2, 3, "0.5"), NOT_A_TIME, id="text-time"),
+    ],
+)
+def test_routes_reject_non_integer_labels_and_non_number_times(call, message):
+    with pytest.raises(ValueError, match=f"^{message}") as info:
+        call(build_model(32))
+    assert not isinstance(info.value, WindowError)
+
+
 def test_numeric_dt_validation():
     model = build_model(32)
     with pytest.raises(ValueError):
@@ -272,7 +326,7 @@ def rk4_step(n, t, dt):
 
 def reference_rk4(model, n, m, t, dt):
     """evolve_numeric's RK4 of the pulse as an explicit loop of k1..k4 steps."""
-    h_matrix = n * model.shift_generator
+    h_matrix = n * circulant(model.generator_column)
     steps, h = rk4_step(n, t, dt)
 
     def deriv(v):
@@ -368,21 +422,37 @@ def test_subsystem_consistency_example():
     assert collapsed.distance(sub) <= 1e-9
 
 
+# A quarter of one D x D complex array at D = 1024, so a D x D temporary
+# of any 8-byte type exceeds it too.
+ROUTE_PEAK_BYTES = 4 * 2**20
+
+# Every library route on a fresh model of the largest ring, caches cold.
+DENSE_FREE_ROUTES = {
+    "evolve_exact": lambda model: evolve_exact(model, 7, -5, 0.4),
+    "subsystem_evolve": lambda model: subsystem_evolve(model, 7, -5, 0.4),
+    "detect_stopping_time": lambda model: detect_stopping_time(model, 7, -5, 1e-3, 1.5, 4000),
+    # RK4 works on first columns
+    "evolve_numeric": lambda model: evolve_numeric(model, model.half - 1, 0, 1.0),
+    "closed_form_stopping_time": lambda model: closed_form_stopping_time(model, 7, 1e-3, 1.5),
+    "superadditivity_table": superadditivity_table,
+}
+
+
 def test_default_route_builds_no_dense_matrix():
-    model = build_model(32)
-    evolve_exact(model, 2, 3, 0.4)
-    subsystem_evolve(model, 2, 3, 0.4)
-    detect_stopping_time(model, 2, 3, 1e-3, 1.5)
-    evolve_numeric(model, 2, 3, 0.4)  # RK4 works on first columns
-    evolve_numeric(model, -15, 0, 1.4)
-    assert "fourier_matrix" not in model.__dict__
-    assert "shift_generator" not in model.__dict__
+    for name, route in DENSE_FREE_ROUTES.items():
+        tracemalloc.start()
+        try:
+            route(build_model(1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ROUTE_PEAK_BYTES, (name, peak)
 
 
 def dense_rk4_power(model, n, m, t, dt):
     """evolve_numeric's RK4 as one dense power of the Horner step matrix."""
     steps, h = rk4_step(n, t, dt)
-    a = (-1j * h) * (n * model.shift_generator)
+    a = (-1j * h) * (n * circulant(model.generator_column))
     eye = np.eye(model.dim)
     step = eye + a / 4.0
     for k in (3.0, 2.0, 1.0):
@@ -477,7 +547,7 @@ def test_trace_matches_every_sample_reference(dim):
 def loop_ring_ket(model, vec, control):
     """Reference ring ket, built one component at a time."""
     amps = {
-        control + (model.label_at(idx),): complex(amp)
+        control + (int(model.ring_labels[idx]),): complex(amp)
         for idx, amp in enumerate(vec)
         if abs(amp) ** 2 >= PRUNE_EPS_SQ
     }
