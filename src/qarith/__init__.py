@@ -58,19 +58,26 @@ from .terms import (
     term_of,
 )
 
-__all__ = [
-    "Config",
+# Names read from .dynamics on first access (PEP 562), so that importing
+# the package does not import numpy.  ``qarith.dynamics`` itself also
+# resolves without an explicit import.
+_DYNAMICS_NAMES = (
     "GATE_TIME",
     "EvolutionTrace",
     "HamiltonianModel",
     "SuperadditivityRow",
-    "WindowError",
     "build_model",
     "detect_stopping_time",
     "evolve_exact",
     "evolve_numeric",
     "subsystem_evolve",
     "superadditivity_table",
+)
+
+__all__ = [
+    "Config",
+    "WindowError",
+    *_DYNAMICS_NAMES,
     "AncillaError",
     "ArityError",
     "Circuit",
@@ -121,22 +128,6 @@ __all__ = [
     "render_term",
     "term_of",
 ]
-
-# Names read from .dynamics on first access (PEP 562), so that importing
-# the package does not import numpy.  ``qarith.dynamics`` itself also
-# resolves without an explicit import.
-_DYNAMICS_NAMES = frozenset({
-    "GATE_TIME",
-    "EvolutionTrace",
-    "HamiltonianModel",
-    "SuperadditivityRow",
-    "build_model",
-    "detect_stopping_time",
-    "evolve_exact",
-    "evolve_numeric",
-    "subsystem_evolve",
-    "superadditivity_table",
-})
 
 
 def __getattr__(name: str):

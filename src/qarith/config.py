@@ -38,7 +38,10 @@ def check_number(value: object, name: str) -> float:
     """``value`` as a float; booleans and non-numbers raise ValueError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def check_dim(dim: object) -> None:

@@ -107,62 +107,22 @@ def _check_roles(registers: int, kind: GateKind, roles: tuple[int, ...]) -> None
             raise ValueError(f"role {r!r} out of range for a {registers}-register state")
 
 
-def _label_map(kind: GateKind, roles: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The basis-label map of one gate; roles must already be checked.
-
-    The ket route applies it to every component through
-    ``Ket._map_labels``.  The basis lane (``_run_labels``) does the same
-    arithmetic in place on one list of labels.
-    """
-    if kind is GateKind.PLUS:
-        s, t = roles
-
-        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-            new = list(key)
-            new[t] = key[t] + key[s]
-            return tuple(new)
-
-    elif kind is GateKind.MINUS:
-        s, t = roles
-
-        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-            new = list(key)
-            new[t] = key[t] - key[s]
-            return tuple(new)
-
-    elif kind is GateKind.TIMES_STRICT:
-        s, t = roles
-
-        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-            if key[s] == 0:
-                raise GateDomainError(key, (s, t))
-            new = list(key)
-            new[t] = key[s] * key[t]
-            return tuple(new)
-
-    else:
-        a, b, c = roles
-
-        def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-            if key[c] != 0:
-                raise AncillaError(key, c)
-            new = list(key)
-            new[c] = key[a] * key[b]
-            return tuple(new)
-
-    return fn
+def _apply(state: Ket, kind: GateKind, roles: tuple[int, ...]) -> Ket:
+    """One gate on a ket: the one-step program, failing with its step's cause."""
+    try:
+        return run_program(GateProgram((GateStep(kind, roles),)), state)
+    except ProgramStepError as exc:
+        raise exc.cause from None
 
 
 def apply_plus(state: Ket, roles: tuple[int, int] = (0, 1)) -> Ket:
     """Add the source label into the target: (..n.., ..m..) -> (..n.., ..n+m..)."""
-    _check_roles(state.registers, GateKind.PLUS, roles)
-    return state._map_labels(_label_map(GateKind.PLUS, roles))
+    return _apply(state, GateKind.PLUS, roles)
 
 
 def apply_minus(state: Ket, roles: tuple[int, int] = (0, 1)) -> Ket:
     """Subtract the source label from the target; inverse of apply_plus."""
-    _check_roles(state.registers, GateKind.MINUS, roles)
-    return state._map_labels(_label_map(GateKind.MINUS, roles))
+    return _apply(state, GateKind.MINUS, roles)
 
 
 def apply_times(
@@ -174,8 +134,7 @@ def apply_times(
         raise ValueError(f"not a multiplier mode: {mode!r}")
     if roles is None:
         roles = (0, 1) if mode is GateKind.TIMES_STRICT else (0, 1, 2)
-    _check_roles(state.registers, mode, roles)
-    return state._map_labels(_label_map(mode, roles))
+    return _apply(state, mode, roles)
 
 
 def _check_count(count: object) -> None:
@@ -284,16 +243,6 @@ class GateProgram:
         return GateProgram.from_json_dict(obj)
 
 
-def run_program(program: GateProgram, state: Ket) -> Ket:
-    """Run each step in order; failures carry the step index."""
-    for i, step in enumerate(program.steps):
-        try:
-            state = apply_gate(state, step.kind, step.roles)
-        except ValueError as exc:
-            raise ProgramStepError(i, step, exc) from exc
-    return state
-
-
 def _valid_steps(registers: int, steps: tuple[GateStep, ...]) -> int:
     """How many leading steps have roles valid on ``registers`` registers."""
     for i, step in enumerate(steps):
@@ -304,66 +253,103 @@ def _valid_steps(registers: int, steps: tuple[GateStep, ...]) -> int:
     return len(steps)
 
 
+def _check_step(registers: int, steps: tuple[GateStep, ...], i: int) -> None:
+    """Raise step ``i``'s role error on ``registers`` registers, if any, with its index."""
+    try:
+        _check_roles(registers, steps[i].kind, steps[i].roles)
+    except ValueError as exc:
+        raise ProgramStepError(i, steps[i], exc) from exc
+
+
 # Bound once: looking up an Enum member costs more than a gate's
-# arithmetic on small labels.
-_PLUS, _MINUS, _TIMES_STRICT = GateKind.PLUS, GateKind.MINUS, GateKind.TIMES_STRICT
+# arithmetic on small labels.  Compiled terms use only the adder and the
+# reversible multiplier, so _program_map tests for those first.
+_PLUS, _MINUS, _TIMES_REVERSIBLE = GateKind.PLUS, GateKind.MINUS, GateKind.TIMES_REVERSIBLE
 
 
-def _run_labels(steps: tuple[GateStep, ...], labels: tuple[int, ...], valid: int) -> list[int]:
-    """The basis lane: run ``steps`` on a list of ``labels``, in place, and return it.
+def _program_map(
+    steps: tuple[GateStep, ...], valid: int
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A program's label map: one basis state's labels in, its final labels out.
 
-    The first ``valid`` steps must have roles checked against
-    ``len(labels)`` registers; they run without further checks.  If a
-    step after them remains, it raises its role error once they have
-    run, so a gate error in an earlier step wins, as on the ket route.
-    Errors are ``run_program``'s: the step index, and the component as a
-    tuple.
+    This is the gates' only arithmetic.  A ket runs it on each of its
+    components (``run_program``), a basis state on its one label tuple
+    (``run_basis``, ``Circuit.run``).  The first ``valid`` steps must have
+    roles checked against the tuple's length; they run without further
+    checks.  If a step after them remains, it raises its role error once
+    they have run, so a gate error in an earlier step wins.  A failure is
+    a ``ProgramStepError`` with the step index; a gate error names the
+    component as it stood at that step.
     """
+    head = steps[:valid]
+    bad_step = valid < len(steps)
+
+    def run(labels: tuple[int, ...]) -> tuple[int, ...]:
+        regs = list(labels)
+        i = 0
+        try:
+            for kind, roles in head:
+                if kind is _PLUS:
+                    s, t = roles
+                    regs[t] += regs[s]
+                elif kind is _TIMES_REVERSIBLE:
+                    a, b, c = roles
+                    if regs[c] != 0:
+                        raise AncillaError(tuple(regs), c)
+                    regs[c] = regs[a] * regs[b]
+                elif kind is _MINUS:
+                    s, t = roles
+                    regs[t] -= regs[s]
+                else:
+                    s, t = roles
+                    if regs[s] == 0:
+                        raise GateDomainError(tuple(regs), (s, t))
+                    regs[t] *= regs[s]
+                i += 1
+        except ValueError as exc:
+            raise ProgramStepError(i, steps[i], exc) from exc
+        if bad_step:
+            _check_step(len(regs), steps, valid)
+        return tuple(regs)
+
+    return run
+
+
+def run_program(program: GateProgram, state: Ket) -> Ket:
+    """Run a program on a ket: its label map on every component, in one pass.
+
+    The roles are checked once, against the ket's register count.  A
+    failing program reports the first component, in the ket's order, that
+    fails, at the step where it fails; a step with bad roles fails every
+    component that reaches it, and a ket with no components too.
+    """
+    steps = program.steps
+    valid = _valid_steps(state.registers, steps)
+    if not state and valid < len(steps):
+        _check_step(state.registers, steps, valid)
+    return state._map_labels(_program_map(steps, valid))
+
+
+def _check_labels(labels: tuple[int, ...]) -> None:
     if not labels:
         raise ValueError("need at least one register label")
     for label in labels:
-        if not isinstance(label, int) or isinstance(label, bool):
+        if type(label) is not int and (not isinstance(label, int) or isinstance(label, bool)):
             raise ValueError(f"register label must be an integer, got {label!r}")
-    regs = list(labels)
-    try:
-        for i in range(valid):
-            step = steps[i]
-            kind = step.kind
-            if kind is _PLUS:
-                s, t = step.roles
-                regs[t] += regs[s]
-            elif kind is _MINUS:
-                s, t = step.roles
-                regs[t] -= regs[s]
-            elif kind is _TIMES_STRICT:
-                s, t = step.roles
-                if regs[s] == 0:
-                    raise GateDomainError(tuple(regs), (s, t))
-                regs[t] *= regs[s]
-            else:
-                a, b, c = step.roles
-                if regs[c] != 0:
-                    raise AncillaError(tuple(regs), c)
-                regs[c] = regs[a] * regs[b]
-        i = valid
-        if i < len(steps):
-            _check_roles(len(regs), steps[i].kind, steps[i].roles)
-    except ValueError as exc:
-        raise ProgramStepError(i, steps[i], exc) from exc
-    return regs
 
 
 def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
     """Run a program on one basis state, given as its label tuple.
 
     Gates only permute basis labels, so this equals ``run_program`` on
-    ``basis_ket(*labels)`` without building a ket per step: it returns
-    the final state's labels, and fails with the same errors.  A bare
-    program has no register layout, so its roles are checked against
-    ``len(labels)`` on every call; a ``Circuit`` checks them once.
+    ``basis_ket(*labels)`` without building a ket: it returns the final
+    state's labels, and fails with the same errors.  A bare program has
+    no register layout, so its roles are checked against ``len(labels)``
+    on every call; a ``Circuit`` checks them once.
     """
+    _check_labels(labels)
     steps = program.steps
-    return tuple(_run_labels(steps, labels, _valid_steps(len(labels), steps)))
+    return _program_map(steps, _valid_steps(len(labels), steps))(labels)
 
 
 @dataclass(frozen=True)
@@ -375,19 +361,23 @@ class Circuit:
     final state.  Compiled terms and boolean connectives are circuits.
 
     The program's roles are checked against ``registers`` once, when the
-    circuit is built.  A circuit with bad roles can still be built: its
-    run fails at the first bad step, with ``run_program``'s error.
+    circuit is built, and its label map is built then too.  A circuit
+    with bad roles can still be built: its run fails at the first bad
+    step, with ``run_program``'s error.
     """
 
     program: GateProgram
     arity: int
     constants: tuple[int, ...]
     result_register: int
-    # Leading program steps whose roles passed the check.
-    _valid: int = field(init=False, repr=False, compare=False)
+    # The program's label map, its roles checked against ``registers``.
+    _run: Callable[[tuple[int, ...]], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_valid", _valid_steps(self.registers, self.program.steps))
+        steps = self.program.steps
+        object.__setattr__(self, "_run", _program_map(steps, _valid_steps(self.registers, steps)))
 
     @property
     def registers(self) -> int:
@@ -402,6 +392,7 @@ class Circuit:
         return basis_ket(*self.initial_labels(args))
 
     def run(self, args: tuple[int, ...]) -> int:
-        """The value on basis-state arguments, computed on one list of labels."""
-        regs = _run_labels(self.program.steps, self.initial_labels(args), self._valid)
-        return regs[self.result_register]
+        """The value on basis-state arguments, computed on one tuple of labels."""
+        labels = self.initial_labels(args)
+        _check_labels(labels)
+        return self._run(labels)[self.result_register]

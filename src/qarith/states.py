@@ -87,7 +87,10 @@ class Ket:
             for label in key:
                 if type(label) is not int and (not isinstance(label, int) or isinstance(label, bool)):
                     raise ValueError(f"register label must be an integer, got {label!r}")
-            amp = complex(amp)
+            try:
+                amp = complex(amp)
+            except OverflowError:
+                raise ValueError(f"amplitude at {key!r} is too large for a complex number") from None
             if not cmath.isfinite(amp):
                 raise ValueError(f"non-finite amplitude at {key!r}")
             if amp.real * amp.real + amp.imag * amp.imag >= PRUNE_EPS_SQ:
@@ -99,14 +102,18 @@ class Ket:
         """The ket with each component's labels ``key`` replaced by ``fn(key)``.
 
         This is the only place a ket is built without ``__init__``, and
-        ``fn`` must be a gate's label map.  Skipping validation is sound
-        for those: each returns a tuple of the same length whose labels are
-        ints computed from already-validated ints; the amplitudes are the
-        same finite, unpruned complex objects; and the dict is new, so no
-        other ket shares it.  Components are visited in order, so an error
-        ``fn`` raises names the first offending one.  A map that sends two
+        ``fn`` must be a gate program's label map (``gates._program_map``)
+        or ``repeat_plus``'s.  Skipping validation is sound for those: each
+        returns a tuple of the same length whose labels are ints computed
+        from already-validated ints; the amplitudes are the same finite,
+        unpruned complex objects; and the dict is new, so no other ket
+        shares it.  Components are visited in order, so an error ``fn``
+        raises names the first offending one.  A map that sends two
         components to one label is not injective, hence no gate: it raises
-        ``RuntimeError`` rather than merging their amplitudes.
+        ``RuntimeError`` rather than merging their amplitudes.  A label
+        map's arithmetic is the basis lane's too; what this pass adds is
+        checked by the church sweep, which runs each term's first case on a
+        ket as well.
         """
         amps = {fn(key): amp for key, amp in self._amps.items()}
         if len(amps) != len(self._amps):
@@ -268,7 +275,10 @@ class Ket:
             key = tuple(labels)
             if key in amps:
                 raise ValueError(f"duplicate basis label {key!r}")
-            amps[key] = complex(re, im)
+            try:
+                amps[key] = complex(re, im)
+            except OverflowError:
+                raise ValueError(f"amplitude at {key!r} is too large for a complex number") from None
         return Ket(registers, amps)
 
     @staticmethod

@@ -687,8 +687,10 @@ def church_sweep(
     Small argument grids are swept exhaustively; wider ones fall back to
     seeded sampling so the total stays under the budget.  Each case runs
     the compiled program on label tuples; the first case of every term
-    also runs it on a ket and must reach the same basis state, so the
-    ket route of every gate the term uses is checked too.  Each
+    also runs it on a ket and must reach the same basis state.  Both
+    routes run the gates' one label map, so that cross-check covers what
+    the ket route adds: the role sweep on the ket's register count,
+    ``Ket._map_labels``, ``basis_ket`` and ket equality.  Each
     disagreement is reported as a JSON-ready dict.
     """
     total = terms.cumulative_size(class_bound)

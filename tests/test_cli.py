@@ -279,6 +279,27 @@ def test_mistyped_config_exits_2(tmp_path, capsys, doc):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key", ["t_max", "epsilon", "dt"])
+def test_config_integer_too_large_for_a_float_exits_2(tmp_path, capsys, key):
+    # A 400-digit integer has no float; it is a bad config value, not a crash.
+    with pytest.raises(ValueError, match=f"^{key} is too large for a float$"):
+        Config(**{key: 10**400})
+    cfg = tmp_path / "big.json"
+    cfg.write_text(f'{{"{key}": {10**400}}}')
+    code, out, err = run_cli(capsys, "verify", "logic", "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {key} is too large for a float\n")
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_apply_amplitude_too_large_for_a_float_exits_2(capsys, monkeypatch, part):
+    doc = {"registers": 2, "terms": [{"labels": [3, 4], "re": 0.0, "im": 0.0}]}
+    doc["terms"][0][part] = 10**400
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run_cli(capsys, "apply", "plus", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: amplitude at (3, 4) is too large for a complex number\n"
+
+
 @pytest.mark.parametrize(
     "field,flag,value,layer",
     [

@@ -287,6 +287,11 @@ NOT_A_TIME = "time must be a number, got "
             id="float-closed",
         ),
         pytest.param(lambda model: evolve_exact(model, 2, 3, "0.5"), NOT_A_TIME, id="text-time"),
+        pytest.param(
+            lambda model: evolve_exact(model, 2, 3, 10**400),
+            "time is too large for a float$",
+            id="huge-time",
+        ),
     ],
 )
 def test_routes_reject_non_integer_labels_and_non_number_times(call, message):

@@ -354,6 +354,63 @@ def test_basis_lane_matches_ket_route(case):
         assert str(error) == str(ket_error)
 
 
+def test_ket_reports_its_first_failing_component():
+    # (1, 2, 7) comes first in the ket and fails at step 1, its dirty
+    # ancilla; (0, 2, 0) would fail earlier, at step 0, but comes second.
+    program = GateProgram(
+        (GateStep(GateKind.TIMES_STRICT, (0, 1)), GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2)))
+    )
+    with pytest.raises(ProgramStepError) as exc:
+        run_program(program, Ket(3, {(1, 2, 7): 0.6, (0, 2, 0): 0.8}))
+    assert exc.value.step_index == 1
+    assert isinstance(exc.value.cause, AncillaError)
+    assert exc.value.cause.component == (1, 2, 7)
+
+
+def test_zero_ket_still_checks_roles():
+    program = GateProgram((GateStep(GateKind.PLUS, (0, 5)),))
+    with pytest.raises(ProgramStepError, match="role 5 out of range") as exc:
+        run_program(program, Ket(2, {}))
+    assert exc.value.step_index == 0
+    with pytest.raises(ValueError, match="role 5 out of range"):
+        apply_plus(Ket(2, {}), (0, 5))
+    assert run_program(GateProgram((GateStep(GateKind.PLUS, (0, 1)),)), Ket(2, {})) == Ket(2, {})
+
+
+@st.composite
+def program_and_ket(draw):
+    program, labels = draw(program_and_labels())
+    keys = draw(st.lists(
+        st.lists(LABELS, min_size=len(labels), max_size=len(labels)).map(tuple),
+        min_size=0, max_size=5, unique=True,
+    ))
+    return program, Ket(len(labels), {key: 0.5 for key in keys})
+
+
+@settings(derandomize=True, max_examples=200, database=None, deadline=None)
+@given(program_and_ket())
+def test_ket_route_is_the_basis_lane_per_component(case):
+    # A ket runs each component as run_basis runs its labels, and fails
+    # with the error of its first component, in the ket's order, that
+    # fails; a ket with no components fails at a step with bad roles.
+    program, ket = case
+    out, error = _outcome(lambda: run_program(program, ket))
+    if not ket:
+        valid = gates._valid_steps(ket.registers, program.steps)
+        assert (error is None) == (valid == len(program))
+        assert out == ket if error is None else error.step_index == valid
+        return
+    lanes = [_outcome(lambda: run_basis(program, key)) for key, _ in ket.items()]
+    failed = [lane_error for _, lane_error in lanes if lane_error is not None]
+    if not failed:
+        assert error is None
+        assert list(out.items()) == [(lane, 0.5) for lane, _ in lanes]
+        return
+    assert error is not None
+    assert error.step_index == failed[0].step_index
+    assert str(error) == str(failed[0])
+
+
 def _expected_labels(kind, roles, key):
     """A gate's action on one label tuple, written out as integer arithmetic."""
     new = list(key)
@@ -425,7 +482,7 @@ def test_relabeled_ket_matches_public_constructor(case):
 def test_non_injective_label_map_raises(monkeypatch):
     # Gates never merge components; a map that would is refused, also
     # under python -O.
-    monkeypatch.setattr(gates, "_label_map", lambda kind, roles: lambda key: (0,) * len(key))
+    monkeypatch.setattr(gates, "_program_map", lambda steps, valid: lambda key: (0,) * len(key))
     with pytest.raises(RuntimeError, match="2 components to 1 labels"):
         apply_plus(superposition({(1, 2): 0.6, (3, 4): 0.8}))
 

@@ -116,6 +116,9 @@ def test_construction_validation():
         Ket(1, {(0,): complex("nan")})
     with pytest.raises(ValueError):
         Ket(1, {(0,): complex(0.0, math.inf)})
+    # an integer too large for a float is no amplitude; the error names its label
+    with pytest.raises(ValueError, match=r"^amplitude at \(0,\) is too large for a complex number$"):
+        Ket(1, {(0,): 10**400})
     # int subclasses other than bool are labels too
     class Label(int):
         pass

@@ -66,20 +66,23 @@ def _adding_terms(class_bound):
 @pytest.mark.parametrize("bumped", ["target", "last"])
 def test_church_sweep_checks_the_ket_route(monkeypatch, bumped):
     # Dual evaluation runs on label tuples, so only the sweep's cross-check
-    # can see a ket-route adder that raises one register by one: the sum's
+    # can see a ket route whose adders raise one register by one: the sum's
     # target (a wrong state) or the last register (at times an ancilla, so
     # the ket route fails at the next multiplication instead).
-    real = gates.apply_plus
+    real = gates.run_program
 
-    def off_by_one(state, roles=(0, 1)):
-        out = real(state, roles)
-        at = roles[1] if bumped == "target" else out.registers - 1
-        return Ket(
-            out.registers,
-            {key[:at] + (key[at] + 1,) + key[at + 1:]: amp for key, amp in out.items()},
-        )
+    def off_by_one(program, state):
+        for step in program.steps:
+            state = real(gates.GateProgram((step,)), state)
+            if step.kind is gates.GateKind.PLUS:
+                at = step.roles[1] if bumped == "target" else state.registers - 1
+                state = Ket(
+                    state.registers,
+                    {key[:at] + (key[at] + 1,) + key[at + 1:]: amp for key, amp in state.items()},
+                )
+        return state
 
-    monkeypatch.setattr(gates, "apply_plus", off_by_one)
+    monkeypatch.setattr(gates, "run_program", off_by_one)
     cases, disagreements = church_sweep(1, 2000, np.random.default_rng(0))
     assert cases > 0 and disagreements
     assert all(d["agree"] and "ket_route" in d for d in disagreements)
@@ -95,17 +98,15 @@ def test_church_sweep_checks_the_ket_route(monkeypatch, bumped):
 def test_church_check_sees_a_basis_lane_fault(monkeypatch):
     # An adder one unit too high on the basis lane: dual evaluation parts
     # from the integer recursion at the first term that adds.
-    real = gates._run_labels
-
-    def plus_one_more(steps, labels, valid):
-        regs = list(labels)
-        for step in steps:
-            regs = real((step,), regs, 1)
+    def plus_one_more(circuit, args):
+        regs = list(circuit.initial_labels(args))
+        for step in circuit.program.steps:
+            regs = list(gates.run_basis(gates.GateProgram((step,)), tuple(regs)))
             if step.kind is gates.GateKind.PLUS:
                 regs[step.roles[1]] += 1
-        return regs
+        return regs[circuit.result_register]
 
-    monkeypatch.setattr(gates, "_run_labels", plus_one_more)
+    monkeypatch.setattr(gates.Circuit, "run", plus_one_more)
     result = check_church_correspondence(Config(class_bound=1), np.random.default_rng(0))
     assert result.ok is False
     first = term_of(_adding_terms(1)[0])
@@ -279,9 +280,10 @@ FAULTS = (
     ),
     Fault(
         "check_gate_window",
-        # the multiplier's label map is off by one on one label triple
-        _edit(gates, "_label_map", (
-            "new[c] = key[a] * key[b]", "new[c] = key[a] * key[b] + (key[a] == key[b] == 32)",
+        # the reversible multiplier is off by one on one label triple
+        _edit(gates, "_program_map", (
+            "regs[c] = regs[a] * regs[b]",
+            "regs[c] = regs[a] * regs[b] + (regs[a] == regs[b] == 32)",
         )),
         r"^times_rev\(32,32\)$",
     ),
@@ -294,8 +296,8 @@ FAULTS = (
     Fault(
         "check_plus_minus_inverse",
         # the subtractor is off by one on targets past the +-64 window
-        _edit(gates, "_label_map", (
-            "new[t] = key[t] - key[s]", "new[t] = key[t] - key[s] - (abs(key[t]) > 64)",
+        _edit(gates, "_program_map", (
+            "regs[t] -= regs[s]", "regs[t] -= regs[s] + (abs(regs[t]) > 64)",
         )),
         r"round trips changed the support$",
     ),
@@ -312,9 +314,9 @@ FAULTS = (
     ),
     Fault(
         "check_gate_errors",
-        # a failing program blames the step after the failing one
-        _edit(gates, "run_program",
-              ("ProgramStepError(i, step, exc)", "ProgramStepError(i + 1, step, exc)")),
+        # a gate error in a program blames the step after the failing one
+        _edit(gates, "_program_map",
+              ("ProgramStepError(i, steps[i], exc)", "ProgramStepError(i + 1, steps[i], exc)")),
         r"^wrong step attribution: step 2 ",
     ),
     Fault(
@@ -425,8 +427,10 @@ FAULTS = (
     ),
     Fault(
         "check_church_correspondence",
-        # the ket route's multiplier reads registers 0 and 1 whatever its roles
-        _edit(gates, "_label_map", ("new[c] = key[a] * key[b]", "new[c] = key[0] * key[1]")),
+        # the ket route starts from the arguments and constants reversed
+        _edit(gates.Circuit, "initial_state", (
+            "basis_ket(*self.initial_labels(args))", "basis_ket(*self.initial_labels(args)[::-1])",
+        )),
         r"'agree': True, 'basis_lane': .*'ket_route'",
     ),
 )
