@@ -15,6 +15,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import add, mul, sub
 
 from .states import Ket, basis_ket
 
@@ -162,13 +163,9 @@ def repeat_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
     if count == 0:
         return state
     s, t = roles
-
-    def fn(key: tuple[int, ...]) -> tuple[int, ...]:
-        new = list(key)
-        new[t] = key[t] + count * key[s]
-        return tuple(new)
-
-    return state._map_labels(fn)
+    cols = state._columns()
+    cols[t] = [m + count * n for n, m in zip(cols[s], cols[t])]
+    return state._relabeled(zip(*cols))
 
 
 def apply_gate(state: Ket, kind: GateKind, roles: tuple[int, ...] | None = None) -> Ket:
@@ -263,7 +260,8 @@ def _check_step(registers: int, steps: tuple[GateStep, ...], i: int) -> None:
 
 # Bound once: looking up an Enum member costs more than a gate's
 # arithmetic on small labels.  Compiled terms use only the adder and the
-# reversible multiplier, so _program_map tests for those first.
+# reversible multiplier, so _program_map and _run_columns test for those
+# first.
 _PLUS, _MINUS, _TIMES_REVERSIBLE = GateKind.PLUS, GateKind.MINUS, GateKind.TIMES_REVERSIBLE
 
 
@@ -272,14 +270,15 @@ def _program_map(
 ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """A program's label map: one basis state's labels in, its final labels out.
 
-    This is the gates' only arithmetic.  A ket runs it on each of its
-    components (``run_program``), a basis state on its one label tuple
-    (``run_basis``, ``Circuit.run``).  The first ``valid`` steps must have
-    roles checked against the tuple's length; they run without further
-    checks.  If a step after them remains, it raises its role error once
-    they have run, so a gate error in an earlier step wins.  A failure is
-    a ``ProgramStepError`` with the step index; a gate error names the
-    component as it stood at that step.
+    A basis state runs it on its one label tuple (``run_basis``,
+    ``Circuit.run``); a ket runs it on each of its components only where
+    its column pass cannot name the failing one (``run_program``).  The
+    first ``valid`` steps must have roles checked against the tuple's
+    length; they run without further checks.  If a step after them
+    remains, it raises its role error once they have run, so a gate error
+    in an earlier step wins.  A failure is a ``ProgramStepError`` with the
+    step index; a gate error names the component as it stood at that
+    step.
     """
     head = steps[:valid]
     bad_step = valid < len(steps)
@@ -315,19 +314,53 @@ def _program_map(
     return run
 
 
+def _run_columns(steps: tuple[GateStep, ...], cols: list) -> bool:
+    """Run role-checked steps on a ket's register columns, in place.
+
+    Each step is one pass over whole columns, the same arithmetic as
+    ``_program_map`` on every component at once.  Returns False, the
+    columns part-run, at the first step some component would fail.
+    """
+    for kind, roles in steps:
+        if kind is _PLUS:
+            s, t = roles
+            cols[t] = list(map(add, cols[t], cols[s]))
+        elif kind is _TIMES_REVERSIBLE:
+            a, b, c = roles
+            if any(cols[c]):
+                return False
+            cols[c] = list(map(mul, cols[a], cols[b]))
+        elif kind is _MINUS:
+            s, t = roles
+            cols[t] = list(map(sub, cols[t], cols[s]))
+        else:
+            s, t = roles
+            if not all(cols[s]):
+                return False
+            cols[t] = list(map(mul, cols[t], cols[s]))
+    return True
+
+
 def run_program(program: GateProgram, state: Ket) -> Ket:
-    """Run a program on a ket: its label map on every component, in one pass.
+    """Run a program on a ket: one pass over whole register columns per step.
 
     The roles are checked once, against the ket's register count.  A
     failing program reports the first component, in the ket's order, that
     fails, at the step where it fails; a step with bad roles fails every
-    component that reaches it, and a ket with no components too.
+    component that reaches it, and a ket with no components too.  Columns
+    cannot tell which component fails first, so when a gate would fail, or
+    a step has bad roles, the label map runs component by component and
+    raises that component's error.
     """
     steps = program.steps
     valid = _valid_steps(state.registers, steps)
-    if not state and valid < len(steps):
+    if valid == len(steps):
+        cols = state._columns()
+        if _run_columns(steps, cols):
+            return state._relabeled(zip(*cols))
+    elif not state:
         _check_step(state.registers, steps, valid)
-    return state._map_labels(_program_map(steps, valid))
+    return state._relabeled(map(_program_map(steps, valid), (key for key, _ in state.items())))
 
 
 def _check_labels(labels: tuple[int, ...]) -> None:

@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 import sys
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 # Components with squared magnitude below this are dropped at construction.
 PRUNE_EPS_SQ = 1e-30
@@ -98,24 +98,27 @@ class Ket:
         self._registers = registers
         self._amps = clean
 
-    def _map_labels(self, fn: Callable[[tuple[int, ...]], tuple[int, ...]]) -> Ket:
-        """The ket with each component's labels ``key`` replaced by ``fn(key)``.
+    def _columns(self) -> list[tuple[int, ...]]:
+        """The labels as one column per register, each in the ket's order."""
+        return list(zip(*self._amps)) or [()] * self._registers
+
+    def _relabeled(self, keys: Iterable[tuple[int, ...]]) -> Ket:
+        """The ket with its components' labels replaced, in order, by ``keys``.
 
         This is the only place a ket is built without ``__init__``, and
-        ``fn`` must be a gate program's label map (``gates._program_map``)
-        or ``repeat_plus``'s.  Skipping validation is sound for those: each
-        returns a tuple of the same length whose labels are ints computed
-        from already-validated ints; the amplitudes are the same finite,
-        unpruned complex objects; and the dict is new, so no other ket
-        shares it.  Components are visited in order, so an error ``fn``
-        raises names the first offending one.  A map that sends two
-        components to one label is not injective, hence no gate: it raises
-        ``RuntimeError`` rather than merging their amplitudes.  A label
-        map's arithmetic is the basis lane's too; what this pass adds is
-        checked by the church sweep, which runs each term's first case on a
-        ket as well.
+        ``keys`` must be a gate's new labels: a program's register columns
+        zipped back (``gates.run_program``, ``gates.repeat_plus``) or its
+        label map on each component (``gates._program_map``).  Skipping
+        validation is sound for those: each key is a tuple of the same
+        length whose labels are ints computed from already-validated ints;
+        the amplitudes are the same finite, unpruned complex objects; and
+        the dict is new, so no other ket shares it.  Keys are drawn in the
+        ket's order, so an error the label map raises names the first
+        offending component.  New labels that send two components to one
+        label are no gate's: they raise ``RuntimeError`` rather than merge
+        their amplitudes.
         """
-        amps = {fn(key): amp for key, amp in self._amps.items()}
+        amps = dict(zip(keys, self._amps.values()))
         if len(amps) != len(self._amps):
             raise RuntimeError(
                 f"label map sent {len(self._amps)} components to {len(amps)} labels"

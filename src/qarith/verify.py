@@ -686,12 +686,11 @@ def church_sweep(
 
     Small argument grids are swept exhaustively; wider ones fall back to
     seeded sampling so the total stays under the budget.  Each case runs
-    the compiled program on label tuples; the first case of every term
-    also runs it on a ket and must reach the same basis state.  Both
-    routes run the gates' one label map, so that cross-check covers what
-    the ket route adds: the role sweep on the ket's register count,
-    ``Ket._map_labels``, ``basis_ket`` and ket equality.  Each
-    disagreement is reported as a JSON-ready dict.
+    the compiled program on label tuples, through its label map; the
+    first case of every term also runs it on a ket, through the column
+    pass, and must reach the same basis state, so every term checks the
+    column pass against the basis lane.  Each disagreement is reported
+    as a JSON-ready dict.
     """
     total = terms.cumulative_size(class_bound)
     labels = range(-CHURCH_ARGS, CHURCH_ARGS + 1)

@@ -380,15 +380,25 @@ def test_zero_ket_still_checks_roles():
 @st.composite
 def program_and_ket(draw):
     program, labels = draw(program_and_labels())
-    keys = draw(st.lists(
-        st.lists(LABELS, min_size=len(labels), max_size=len(labels)).map(tuple),
-        min_size=0, max_size=5, unique=True,
-    ))
-    return program, Ket(len(labels), {key: 0.5 for key in keys})
+    # Up to 40 multiples of ``labels``, which share its zero labels and so
+    # mostly pass or fail together, and up to 3 other components among
+    # them, free or with the opposite zero labels, which often fail where
+    # the multiples pass: the first failing component can lie deep in the ket.
+    keys = [tuple(k * label for label in labels) for k in range(1, draw(st.integers(0, 40)) + 1)]
+    other = st.one_of(
+        st.tuples(*(st.just(0) if label else LABELS.filter(bool) for label in labels)),
+        st.tuples(*(LABELS for _ in labels)),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        keys.insert(draw(st.integers(0, len(keys))), draw(other))
+    return program, Ket(len(labels), dict.fromkeys(keys, 0.5))
 
 
 @settings(derandomize=True, max_examples=200, database=None, deadline=None)
 @given(program_and_ket())
+# The 31st of 40 components has a dirty ancilla, its neighbours a clean one.
+@example((GateProgram((GateStep(GateKind.PLUS, (0, 1)), GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2)))),
+          Ket(3, {(k, 2 * k, int(k == 31)): 0.5 for k in range(1, 41)})))
 def test_ket_route_is_the_basis_lane_per_component(case):
     # A ket runs each component as run_basis runs its labels, and fails
     # with the error of its first component, in the ket's order, that
@@ -480,9 +490,13 @@ def test_relabeled_ket_matches_public_constructor(case):
 
 
 def test_non_injective_label_map_raises(monkeypatch):
-    # Gates never merge components; a map that would is refused, also
+    # Gates never merge components; columns that would are refused, also
     # under python -O.
-    monkeypatch.setattr(gates, "_program_map", lambda steps, valid: lambda key: (0,) * len(key))
+    def collapse(steps, cols):
+        cols[:] = [[0] * len(col) for col in cols]
+        return True
+
+    monkeypatch.setattr(gates, "_run_columns", collapse)
     with pytest.raises(RuntimeError, match="2 components to 1 labels"):
         apply_plus(superposition({(1, 2): 0.6, (3, 4): 0.8}))
 

@@ -281,23 +281,24 @@ FAULTS = (
     Fault(
         "check_gate_window",
         # the reversible multiplier is off by one on one label triple
-        _edit(gates, "_program_map", (
-            "regs[c] = regs[a] * regs[b]",
-            "regs[c] = regs[a] * regs[b] + (regs[a] == regs[b] == 32)",
+        _edit(gates, "_run_columns", (
+            "cols[c] = list(map(mul, cols[a], cols[b]))",
+            "cols[c] = [x * y + (x == y == 32) for x, y in zip(cols[a], cols[b])]",
         )),
         r"^times_rev\(32,32\)$",
     ),
     Fault(
         "check_gate_norm_linearity",
         # every gate renormalizes its output
-        _edit(Ket, "_map_labels", ("return out", "return out.normalized() if amps else out")),
+        _edit(Ket, "_relabeled", ("return out", "return out.normalized() if amps else out")),
         r"worst norm drift \S+, worst linearity residual [1-9]\.\d\de\+00$",
     ),
     Fault(
         "check_plus_minus_inverse",
         # the subtractor is off by one on targets past the +-64 window
-        _edit(gates, "_program_map", (
-            "regs[t] -= regs[s]", "regs[t] -= regs[s] + (abs(regs[t]) > 64)",
+        _edit(gates, "_run_columns", (
+            "list(map(sub, cols[t], cols[s]))",
+            "[x - y - (abs(x) > 64) for x, y in zip(cols[t], cols[s])]",
         )),
         r"round trips changed the support$",
     ),
