@@ -21,7 +21,6 @@ gate program over basis states whose results must agree.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -451,8 +450,27 @@ def _emit(t: Term, leaf: int, steps: list[GateStep], next_ancilla: list[int]) ->
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalReport:
+    """One dual evaluation: a term, its integer arguments, and both results.
+
+    ``gate_result`` is what the compiled gate program gives and
+    ``oracle_result`` what the integer recursion gives; ``agree`` says
+    whether they match.  The JSON document has six keys in this order:
+    ``term`` (prefix form), ``index``, ``args``, ``gates``, ``oracle`` and
+    ``agree``.
+
+    ``to_json`` writes that document directly and is byte-identical to
+    ``json.dumps(self.to_json_dict())`` for integer fields other than
+    ``bool`` (which ``evaluate_gates`` refuses as arguments): the same key
+    order, separators and integer text, and the same ``ValueError`` for an
+    integer past the int-to-text digit limit.  It needs no escaping, since
+    a prefix form holds only ``PTM0(),``.  Writing it directly skips
+    building a dict and running the encoder, which took half of a warm
+    in-process evaluation; ``to_json_dict`` stays, as ``verify`` reads it
+    and as the reference ``to_json`` is tested against.
+    """
+
     term: Term
     args: tuple[int, ...]
     gate_result: int
@@ -473,7 +491,16 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        # Integers print through int.__repr__, as json's encoder does, so a
+        # subclass's own __str__ or __repr__ is not used.
+        text = render_term(self.term)
+        r = int.__repr__
+        return (
+            f'{{"term": "{text}", "index": {r(index_of(self.term))}, '
+            f'"args": [{", ".join(map(r, self.args))}], '
+            f'"gates": {r(self.gate_result)}, "oracle": {r(self.oracle_result)}, '
+            f'"agree": {"true" if self.agree else "false"}}}'
+        )
 
 
 def evaluate_gates(term: Term, args: tuple[int, ...]) -> EvalReport:

@@ -27,7 +27,7 @@ from qarith.dynamics import (
 )
 from qarith.gates import GateDomainError, GateKind, GateStep, ProgramStepError, iterate_plus
 from qarith.states import Ket
-from qarith.terms import MAX_TERM_DEPTH, bijection_report, cumulative_size
+from qarith.terms import MAX_TERM_DEPTH, bijection_report, cumulative_size, evaluate_gates, term_of
 
 
 def run_cli(capsys, *argv):
@@ -395,9 +395,12 @@ def test_eval_term_text(capsys):
 
 
 def test_eval_term_index(capsys):
-    code, out, _ = run_cli(capsys, "eval", "7", "1", "2", "3", "4")
+    code, out, _ = run_cli(capsys, "eval", "7", "1", "2", "3", "-4")
     assert code == 0
-    assert json.loads(out)["oracle"] == 15
+    assert json.loads(out)["oracle"] == -9
+    # the encoder's bytes, not the report's own writer
+    want = evaluate_gates(term_of(7), (1, 2, 3, -4))
+    assert out == json.dumps(want.to_json_dict()) + "\n"
 
 
 def test_apply_label_too_long_to_read_exits_2(capsys, monkeypatch):

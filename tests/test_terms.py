@@ -1,8 +1,11 @@
 """Term algebra: grading, canonical indexing, text forms, dual evaluation."""
 
+import dataclasses
 import gc
 import itertools
 import json
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from qarith.terms import (
     MAX_WALK_DEPTH,
     ArityError,
     BinOp,
+    EvalReport,
     FreeVar,
     Node,
     TermDepthError,
@@ -421,6 +425,67 @@ def test_dual_evaluation_examples():
     with pytest.raises(ArityError):
         evaluate_gates(term_of(7), (1, 2))
     assert ArityError is gates.ArityError
+    # A report is a frozen, slotted record that dataclasses.replace still copies.
+    report = evaluate_gates(term_of(7), (1, 2, 3, 4))
+    assert not hasattr(report, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.gate_result = 16
+    wrong = dataclasses.replace(report, gate_result=16)
+    assert (wrong.gate_result, wrong.oracle_result, wrong.agree) == (16, 15, False)
+    assert report.agree and wrong.args is report.args
+
+
+def _signed_big(rng):
+    return rng.choice((-1, 1)) * rng.randrange(10 ** rng.randint(1, 40))
+
+
+class _Loud(int):
+    """An int whose own text forms are not its value."""
+
+    def __str__(self):
+        return "loud"
+
+    __repr__ = __str__
+
+
+def _same_json(report):
+    text = report.to_json()
+    assert text == json.dumps(report.to_json_dict()), text
+    return text
+
+
+def test_report_json_is_the_encoders_bytes():
+    # to_json writes its document itself; it must match the encoder's
+    # output byte for byte, with arguments up to 40 digits and either sign.
+    rng = random.Random(25)
+    warm = range(cumulative_size(2))
+    cold = rng.sample(range(cumulative_size(2), cumulative_size(3)), 2_000)
+    assert len(warm) == 723
+    for delta in itertools.chain(warm, cold):
+        term = term_of(delta)
+        _same_json(evaluate_gates(term, tuple(_signed_big(rng) for _ in range(term.arity))))
+    # results that differ
+    text = _same_json(EvalReport(term_of(7), (1, 2, 3, -4), gate_result=16, oracle_result=-9))
+    assert text.endswith('"gates": 16, "oracle": -9, "agree": false}')
+    # int subclasses print their value, not their own text forms
+    loud = tuple(map(_Loud, (1, 2, -3, 10**30)))
+    for report in (
+        evaluate_gates(term_of(7), loud),
+        EvalReport(term_of(7), loud, gate_result=_Loud(5), oracle_result=_Loud(5)),
+    ):
+        assert "loud" not in _same_json(report)
+
+
+def test_report_json_past_int_text_limit_raises():
+    # A result with more digits than Python writes raises ValueError from
+    # both forms, as the encoder does.
+    limit = sys.get_int_max_str_digits()
+    half = 10 ** (limit // 2 + 1)
+    report = evaluate_gates(ELEM_TIMES, (half, half))
+    assert report.gate_result == report.oracle_result >= 10**limit  # past `limit` digits
+    for write in (report.to_json, lambda: json.dumps(report.to_json_dict())):
+        with pytest.raises(ValueError, match="integer string conversion"):
+            write()
 
 
 def test_dual_evaluation_builds_no_ket(monkeypatch):
