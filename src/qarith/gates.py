@@ -164,8 +164,8 @@ def repeat_plus(state: Ket, count: int, roles: tuple[int, int] = (0, 1)) -> Ket:
         return state
     s, t = roles
     cols = state._columns()
-    cols[t] = [m + count * n for n, m in zip(cols[s], cols[t])]
-    return state._relabeled(zip(*cols))
+    cols[t] = tuple(m + count * n for n, m in zip(cols[s], cols[t]))
+    return state._relabeled(cols)
 
 
 def apply_gate(state: Ket, kind: GateKind, roles: tuple[int, ...] | None = None) -> Ket:
@@ -315,34 +315,39 @@ def _program_map(
 
 
 def _run_columns(steps: tuple[GateStep, ...], cols: list) -> bool:
-    """Run role-checked steps on a ket's register columns, in place.
+    """Run role-checked steps on a ket's register columns, rebinding ``cols[t]``.
 
     Each step is one pass over whole columns, the same arithmetic as
-    ``_program_map`` on every component at once.  Returns False, the
-    columns part-run, at the first step some component would fail.
+    ``_program_map`` on every component at once.  A step builds a new
+    tuple column, since columns are shared between kets (``Ket._columns``).
+    Returns False, the columns part-run, at the first step some component
+    would fail.
     """
     for kind, roles in steps:
         if kind is _PLUS:
             s, t = roles
-            cols[t] = list(map(add, cols[t], cols[s]))
+            cols[t] = tuple(map(add, cols[t], cols[s]))
         elif kind is _TIMES_REVERSIBLE:
             a, b, c = roles
             if any(cols[c]):
                 return False
-            cols[c] = list(map(mul, cols[a], cols[b]))
+            cols[c] = tuple(map(mul, cols[a], cols[b]))
         elif kind is _MINUS:
             s, t = roles
-            cols[t] = list(map(sub, cols[t], cols[s]))
+            cols[t] = tuple(map(sub, cols[t], cols[s]))
         else:
             s, t = roles
             if not all(cols[s]):
                 return False
-            cols[t] = list(map(mul, cols[t], cols[s]))
+            cols[t] = tuple(map(mul, cols[t], cols[s]))
     return True
 
 
 def run_program(program: GateProgram, state: Ket) -> Ket:
     """Run a program on a ket: one pass over whole register columns per step.
+
+    The result carries its columns, so a chain of programs transposes the
+    first ket's labels once.
 
     The roles are checked once, against the ket's register count.  A
     failing program reports the first component, in the ket's order, that
@@ -350,17 +355,20 @@ def run_program(program: GateProgram, state: Ket) -> Ket:
     component that reaches it, and a ket with no components too.  Columns
     cannot tell which component fails first, so when a gate would fail, or
     a step has bad roles, the label map runs component by component and
-    raises that component's error.
+    raises that component's error; some component always fails there.
     """
     steps = program.steps
     valid = _valid_steps(state.registers, steps)
     if valid == len(steps):
         cols = state._columns()
         if _run_columns(steps, cols):
-            return state._relabeled(zip(*cols))
+            return state._relabeled(cols)
     elif not state:
         _check_step(state.registers, steps, valid)
-    return state._relabeled(map(_program_map(steps, valid), (key for key, _ in state.items())))
+    run = _program_map(steps, valid)
+    for key, _ in state.items():
+        run(key)
+    raise RuntimeError("the column pass failed where every component's label map succeeds")
 
 
 def _check_labels(labels: tuple[int, ...]) -> None:

@@ -3,7 +3,9 @@
 A ket is a finite-support map from register label tuples to complex
 amplitudes.  Labels are plain Python integers, so label arithmetic never
 wraps or overflows.  All operations return new kets; instances never
-mutate after construction.
+mutate after construction, except that a ket may fill in its column memo
+(``Ket._columns``) on first use.  The memo is derived from the components
+and never changes them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import cmath
 import json
 import math
 import sys
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
 # Components with squared magnitude below this are dropped at construction.
 PRUNE_EPS_SQ = 1e-30
@@ -74,7 +76,7 @@ class Ket:
     Near-zero components are pruned; the empty map is the zero vector.
     """
 
-    __slots__ = ("_registers", "_amps")
+    __slots__ = ("_registers", "_amps", "_cols")
 
     def __init__(self, registers: int, amps: Mapping[tuple[int, ...], complex] | None = None):
         if not isinstance(registers, int) or isinstance(registers, bool) or registers < 1:
@@ -97,28 +99,37 @@ class Ket:
                 clean[key] = amp
         self._registers = registers
         self._amps = clean
+        self._cols = None
 
     def _columns(self) -> list[tuple[int, ...]]:
-        """The labels as one column per register, each in the ket's order."""
-        return list(zip(*self._amps)) or [()] * self._registers
+        """The labels as one column per register, each in the ket's order.
 
-    def _relabeled(self, keys: Iterable[tuple[int, ...]]) -> Ket:
-        """The ket with its components' labels replaced, in order, by ``keys``.
+        A program's result carries the columns its pass computed
+        (``_relabeled``); any other ket transposes its labels on first use
+        and keeps them.  So a chain of programs, or several programs on one
+        ket, transposes once.  Columns are tuples shared between kets; the
+        outer list is a fresh copy, so a caller may rebind its entries.
+        """
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = tuple(zip(*self._amps)) or ((),) * self._registers
+        return list(cols)
+
+    def _relabeled(self, cols: list[tuple[int, ...]]) -> Ket:
+        """The ket with its labels replaced by the register columns ``cols``.
 
         This is the only place a ket is built without ``__init__``, and
-        ``keys`` must be a gate's new labels: a program's register columns
-        zipped back (``gates.run_program``, ``gates.repeat_plus``) or its
-        label map on each component (``gates._program_map``).  Skipping
-        validation is sound for those: each key is a tuple of the same
-        length whose labels are ints computed from already-validated ints;
-        the amplitudes are the same finite, unpruned complex objects; and
-        the dict is new, so no other ket shares it.  Keys are drawn in the
-        ket's order, so an error the label map raises names the first
-        offending component.  New labels that send two components to one
-        label are no gate's: they raise ``RuntimeError`` rather than merge
-        their amplitudes.
+        ``cols`` must be a gate program's columns, one per register, each in
+        the ket's order (``gates.run_program``, ``gates.repeat_plus``).
+        Skipping validation is sound for those: each new label is an int
+        computed from already-validated ints; the amplitudes are the same
+        finite, unpruned complex objects; and the dict is new, so no other
+        ket shares it.  New labels that send two components to one label
+        are no gate's: they raise ``RuntimeError`` rather than merge their
+        amplitudes.  The result keeps ``cols`` as its column memo, so the
+        next program on it does not transpose its labels again.
         """
-        amps = dict(zip(keys, self._amps.values()))
+        amps = dict(zip(zip(*cols), self._amps.values()))
         if len(amps) != len(self._amps):
             raise RuntimeError(
                 f"label map sent {len(self._amps)} components to {len(amps)} labels"
@@ -126,6 +137,7 @@ class Ket:
         out = object.__new__(Ket)
         out._registers = self._registers
         out._amps = amps
+        out._cols = tuple(cols)
         return out
 
     @property

@@ -97,9 +97,10 @@ def test_repeat_plus_matches_the_loop():
     )
     for roles in ((0, 1), (2, 0), (1, 2)):
         for count in (0, 1, 2, 7):
-            assert list(repeat_plus(state, count, roles).items()) == list(
-                iterate_plus(state, count, roles).items()
-            )
+            out = repeat_plus(state, count, roles)
+            assert list(out.items()) == list(iterate_plus(state, count, roles).items())
+            # The result carries its labels' columns.
+            assert out._columns() == list(zip(*(key for key, _ in out.items())))
     # same errors, checked in the same order: count first, then roles,
     # also for a count of 0
     for count, roles in ((-1, (0, 1)), (True, (5, 6)), (1.0, (0, 1)), (3, (0, 0)),
@@ -491,13 +492,30 @@ def test_relabeled_ket_matches_public_constructor(case):
 
 def test_non_injective_label_map_raises(monkeypatch):
     # Gates never merge components; columns that would are refused, also
-    # under python -O.
+    # under python -O, and also on kets whose columns are memoized: an
+    # input that ran a program and a program's result.
     def collapse(steps, cols):
-        cols[:] = [[0] * len(col) for col in cols]
+        cols[:] = [(0,) * len(col) for col in cols]
         return True
 
+    state = superposition({(1, 2): 0.6, (3, 4): 0.8})
+    out = apply_plus(state)
+    assert state._cols is not None and out._cols is not None
     monkeypatch.setattr(gates, "_run_columns", collapse)
+    for ket in (state, out):
+        before = list(ket.items())
+        with pytest.raises(RuntimeError, match="2 components to 1 labels"):
+            apply_plus(ket)
+        assert list(ket.items()) == before
     with pytest.raises(RuntimeError, match="2 components to 1 labels"):
+        apply_plus(superposition({(1, 2): 0.6, (3, 4): 0.8}))
+
+
+def test_column_pass_failing_where_no_component_does_raises(monkeypatch):
+    # A column pass fails only where some component's label map fails,
+    # which then raises; were they ever to disagree, no ket is returned.
+    monkeypatch.setattr(gates, "_run_columns", lambda steps, cols: False)
+    with pytest.raises(RuntimeError, match="label map succeeds"):
         apply_plus(superposition({(1, 2): 0.6, (3, 4): 0.8}))
 
 
@@ -508,3 +526,76 @@ def test_gate_leaves_input_ket_untouched():
     assert list(state.items()) == before
     assert list(out.items()) == [((1, 3), 0.6), ((3, 7), 0.8j)]
     assert out._amps is not state._amps
+    # A ket built by __init__ and a program's result, which carries the
+    # columns its pass built: a program changes neither its components nor
+    # its columns, so a second run gives the same result.
+    for ket in (state, out):
+        before = list(ket.items())
+        first = apply_plus(ket)
+        assert list(ket.items()) == before
+        assert ket._columns() == list(zip(*(key for key, _ in before)))
+        assert list(apply_plus(ket).items()) == list(first.items())
+
+
+def test_iterate_plus_transposes_once(monkeypatch):
+    # Each adder pass hands its columns to its result, so twenty passes
+    # transpose the input's labels once.
+    transposed = []
+    columns = Ket._columns
+
+    def spy(self):
+        if self._cols is None:
+            transposed.append(self)
+        return columns(self)
+
+    monkeypatch.setattr(Ket, "_columns", spy)
+    state = superposition({(1, 2): 0.6, (3, 4): 0.8})
+    out = iterate_plus(state, 20)
+    assert len(transposed) == 1 and transposed[0] is state
+    assert list(out.items()) == [((1, 22), 0.6), ((3, 64), 0.8)]
+
+
+@st.composite
+def program_chain(draw):
+    """A ket and 2 to 4 programs with valid roles to run on it in turn."""
+    registers = draw(st.integers(2, 4))
+    keys = draw(st.lists(st.tuples(*[LABELS] * registers), max_size=12, unique=True))
+    ket = Ket(registers, {key: draw(AMPLITUDES) for key in keys})
+    # Mostly the adder and subtractor, which never fail, so chains run long.
+    kinds = [GateKind.PLUS, GateKind.MINUS] * 3 + [
+        kind for kind in (GateKind.TIMES_STRICT, GateKind.TIMES_REVERSIBLE) if ARITY[kind] <= registers
+    ]
+    chain = []
+    for _ in range(draw(st.integers(2, 4))):
+        steps = []
+        for _ in range(draw(st.integers(0, 4))):
+            kind = draw(st.sampled_from(kinds))
+            steps.append(GateStep(kind, tuple(draw(st.permutations(range(registers)))[: ARITY[kind]])))
+        chain.append(GateProgram(tuple(steps)))
+    return ket, chain
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(program_chain())
+def test_chained_programs_match_fresh_kets(case):
+    # Each result carries its columns into the next program; a fresh copy
+    # of the same components transposes its own.  Both routes give the
+    # same components in the same order, and the same error.
+    ket, chain = case
+    for program in chain:
+        fresh = Ket(ket.registers, dict(ket.items()))
+        want, want_error = _outcome(lambda: run_program(program, fresh))
+        out, error = _outcome(lambda: run_program(program, ket))
+        if want_error is not None:
+            assert error is not None and str(error) == str(want_error)
+            return
+        assert error is None
+        assert list(out.items()) == list(want.items())
+        # The input's columns and the result's are their labels, one
+        # register at a time, in tuples, which no ket sharing them can
+        # write into.
+        for k in (ket, out):
+            labels = [key for key, _ in k.items()]
+            assert all(type(col) is tuple for col in k._cols)
+            assert k._columns() == (list(zip(*labels)) or [()] * k.registers)
+        ket = out

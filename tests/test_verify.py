@@ -282,8 +282,8 @@ FAULTS = (
         "check_gate_window",
         # the reversible multiplier is off by one on one label triple
         _edit(gates, "_run_columns", (
-            "cols[c] = list(map(mul, cols[a], cols[b]))",
-            "cols[c] = [x * y + (x == y == 32) for x, y in zip(cols[a], cols[b])]",
+            "cols[c] = tuple(map(mul, cols[a], cols[b]))",
+            "cols[c] = tuple(x * y + (x == y == 32) for x, y in zip(cols[a], cols[b]))",
         )),
         r"^times_rev\(32,32\)$",
     ),
@@ -297,8 +297,8 @@ FAULTS = (
         "check_plus_minus_inverse",
         # the subtractor is off by one on targets past the +-64 window
         _edit(gates, "_run_columns", (
-            "list(map(sub, cols[t], cols[s]))",
-            "[x - y - (abs(x) > 64) for x, y in zip(cols[t], cols[s])]",
+            "tuple(map(sub, cols[t], cols[s]))",
+            "tuple(x - y - (abs(x) > 64) for x, y in zip(cols[t], cols[s]))",
         )),
         r"round trips changed the support$",
     ),
