@@ -10,7 +10,6 @@ start at 0.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -70,7 +69,9 @@ class ProgramStepError(RuntimeError):
         self.step_index = step_index
         self.step = step
         self.cause = cause
-        super().__init__(f"step {step_index} ({step.kind.value} {step.roles}): {cause}")
+        # A step built in Python may carry a kind that is no GateKind.
+        name = step.kind.value if isinstance(step.kind, GateKind) else repr(step.kind)
+        super().__init__(f"step {step_index} ({name} {step.roles}): {cause}")
 
 
 # ARITY's kinds by arity, for the fast path of _check_roles: an Enum
@@ -97,7 +98,8 @@ def _check_roles(registers: int, kind: GateKind, roles: tuple[int, ...]) -> None
             return
     arity = ARITY.get(kind)
     if arity is None:
-        # apply_gate hands any other kind to apply_times, which says so.
+        # Only a program step can carry another kind: apply_gate hands one
+        # to apply_times, which rejects it, in these words, before any roles.
         raise ValueError(f"not a multiplier mode: {kind!r}")
     if len(roles) != arity:
         raise ValueError(f"{kind.value} takes {arity} roles, got {roles}")
@@ -188,27 +190,6 @@ class GateStep(namedtuple("GateStep", ("kind", "roles"))):
     kind: GateKind
     roles: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"gate": self.kind.value, "roles": list(self.roles)}
-
-    @staticmethod
-    def from_json_dict(obj: object) -> GateStep:
-        if not isinstance(obj, dict):
-            raise ValueError(f"bad program step {obj!r}")
-        name = obj.get("gate")
-        try:
-            kind = GateKind(name)
-        except ValueError:
-            raise ValueError(f"unknown gate {name!r}") from None
-        roles = obj.get("roles")
-        if (
-            not isinstance(roles, list)
-            or len(roles) != ARITY[kind]
-            or not all(isinstance(r, int) and not isinstance(r, bool) for r in roles)
-        ):
-            raise ValueError(f"bad roles for {kind.value}: {roles!r}")
-        return GateStep(kind, tuple(roles))
-
 
 @dataclass(frozen=True)
 class GateProgram:
@@ -218,26 +199,6 @@ class GateProgram:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def to_json_dict(self) -> dict:
-        return {"steps": [s.to_json_dict() for s in self.steps]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @staticmethod
-    def from_json_dict(obj: object) -> GateProgram:
-        if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
-            raise ValueError("program document needs a 'steps' list")
-        return GateProgram(tuple(GateStep.from_json_dict(s) for s in obj["steps"]))
-
-    @staticmethod
-    def from_json(text: str) -> GateProgram:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from exc
-        return GateProgram.from_json_dict(obj)
 
 
 def _valid_steps(registers: int, steps: tuple[GateStep, ...]) -> int:

@@ -139,7 +139,7 @@ def test_role_validation():
         apply_times(basis_ket(1, 2), GateKind.TIMES_REVERSIBLE, (0, 1))
     with pytest.raises(ValueError):
         apply_times(basis_ket(1, 2), GateKind.PLUS)
-    # bools are no register indices, as GateStep.from_json_dict holds too
+    # bools are ints, but no register indices
     with pytest.raises(ValueError, match="role False out of range"):
         apply_plus(basis_ket(1, 2), (False, True))
 
@@ -244,11 +244,6 @@ def test_program_computes_sum_times_factor():
     assert out == basis_ket(2, 5, 4, 20)
 
 
-def test_program_json_roundtrip():
-    doc = GateProgram((GateStep(GateKind.PLUS, (0, 1)),)).to_json_dict()
-    assert doc == {"steps": [{"gate": "PLUS", "roles": [0, 1]}]}
-
-
 def test_gate_step_is_an_immutable_value():
     step = GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2))
     assert repr(step) == "GateStep(kind=<GateKind.TIMES_REVERSIBLE: 'TIMES_REVERSIBLE'>, roles=(0, 1, 2))"
@@ -257,28 +252,10 @@ def test_gate_step_is_an_immutable_value():
     assert step != GateStep(GateKind.TIMES_REVERSIBLE, (1, 0, 2))
     assert step != GateStep(GateKind.TIMES_STRICT, (0, 1))
     assert len({step, twin, GateStep(GateKind.PLUS, (0, 1))}) == 2
-    for each in (step, GateStep(GateKind.MINUS, (3, 0))):
-        assert GateStep.from_json_dict(each.to_json_dict()) == each
     for name in ("kind", "roles", "other"):
         with pytest.raises(AttributeError):
             setattr(step, name, None)
     assert step == GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2))
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "[]",
-        '{"steps": 3}',
-        '{"steps": [{"gate": "NOPE", "roles": [0, 1]}]}',
-        '{"steps": [{"gate": "PLUS", "roles": [0]}]}',
-        '{"steps": [{"gate": "PLUS", "roles": [0, true]}]}',
-        "nonsense",
-    ],
-)
-def test_program_json_rejects_malformed(bad):
-    with pytest.raises(ValueError):
-        GateProgram.from_json(bad)
 
 
 def test_basis_lane_runs_program_on_labels():
@@ -338,6 +315,8 @@ def _outcome(run):
           (0, 5)))
 @example((GateProgram((GateStep(GateKind.PLUS, (0, 1)), GateStep(GateKind.MINUS, (1, 1)))),
           (3, 5)))
+# A step built in Python whose kind is no GateKind fails as bad roles do.
+@example((GateProgram((GateStep(GateKind.PLUS, (0, 1)), GateStep(NOT_A_KIND, (0, 1)))), (1, 2)))
 def test_basis_lane_matches_ket_route(case):
     program, labels = case
     lane, lane_error = _outcome(lambda: run_basis(program, labels))
