@@ -99,8 +99,8 @@ def _check_roles(registers: int, kind: GateKind, roles: tuple[int, ...]) -> None
     arity = ARITY.get(kind)
     if arity is None:
         # Only a program step can carry another kind: apply_gate hands one
-        # to apply_times, which rejects it, in these words, before any roles.
-        raise ValueError(f"not a multiplier mode: {kind!r}")
+        # to apply_times, which rejects it as a multiplier mode first.
+        raise ValueError(f"not a gate kind: {kind!r}")
     if len(roles) != arity:
         raise ValueError(f"{kind.value} takes {arity} roles, got {roles}")
     if len(set(roles)) != len(roles):

@@ -17,11 +17,21 @@ enumerating anything.
 
 Evaluation is dual: an exact integer recursion, and compilation to a
 gate program over basis states whose results must agree.
+
+No cache holds a term past class 2.  ``term_of`` keeps a table of the
+723 terms of class <= 2 and builds every larger term fresh from it, so
+each class-3 term's children come from the table.  Each node keeps its
+own index and compiled circuit once asked for them, and its prefix text
+when it is at most 3 deep; these memos live and die with the node, so a
+class-3 sweep holds one term at a time.  ``term_of``, ``index_of`` and
+``compile_term`` count hits and misses in ``cache_info()``, and
+``cache_clear()`` drops what the table holds, as an ``lru_cache`` would.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -43,6 +53,11 @@ class FreeVar:
     __slots__ = ()
     arity = 1
     depth = 0
+    # A leaf's memos, read as a node's are: index 0, text M0, and no
+    # circuit, as a leaf cannot store one.
+    _index = 0
+    _text = "M0"
+    _circuit = None
 
 
 # Deepest term the recursive tree walks (render_term, render_infix,
@@ -59,7 +74,12 @@ class TermDepthError(ValueError):
         super().__init__(f"term is {term.depth} deep, past MAX_WALK_DEPTH = {MAX_WALK_DEPTH}")
 
 
-@dataclass(frozen=True, slots=True)
+# Nodes are frozen: their fields and memos are written with object's own
+# setter, past the dataclass's refusal.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Node:
     op: BinOp
     left: "Term"
@@ -67,14 +87,30 @@ class Node:
     _hash: int = field(init=False, repr=False, compare=False)
     arity: int = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
+    # Memos, None until first asked for: the index, the prefix text (kept
+    # only at most _TEXT_DEPTH deep) and the compiled circuit.
+    _index: int | None = field(init=False, repr=False, compare=False)
+    _text: str | None = field(init=False, repr=False, compare=False)
+    _circuit: Circuit | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # Computed once, from the children's stored values: the hash the
-        # dataclass would give, the leaf count and the longest root-to-leaf
-        # path.  Cache lookups and shape reads then never walk the tree.
-        object.__setattr__(self, "_hash", hash((self.op, self.left, self.right)))
-        object.__setattr__(self, "arity", self.left.arity + self.right.arity)
-        object.__setattr__(self, "depth", 1 + max(self.left.depth, self.right.depth))
+    def __init__(self, op: BinOp, left: "Term", right: "Term") -> None:
+        # The hash the dataclass would give, the leaf count and the longest
+        # root-to-leaf path come from the children's stored values, so
+        # cache lookups and shape reads never walk the tree.
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((op, left, right)))
+        _set(self, "arity", left.arity + right.arity)
+        _set(self, "depth", 1 + max(left.depth, right.depth))
+        _set(self, "_index", None)
+        _set(self, "_text", None)
+        _set(self, "_circuit", None)
+
+    def __reduce__(self):
+        # A copy or an unpickled term is built again from its parts, so it
+        # starts with no memos.
+        return (Node, (self.op, self.left, self.right))
 
     def __hash__(self) -> int:
         return self._hash
@@ -111,6 +147,7 @@ Term = FreeVar | Node
 # Bound once: looking up an Enum member costs more than the per-node work
 # of the tree walks below.
 _SUM = BinOp.PLUS
+_OPS = (None, BinOp.PLUS, BinOp.TIMES)
 _ADDER, _MULTIPLIER = GateKind.PLUS, GateKind.TIMES_REVERSIBLE
 
 FREE = FreeVar()
@@ -176,35 +213,106 @@ def _pair_unrank(r: int, a: int, b: int) -> tuple[int, int]:
     return b + x, y
 
 
-@lru_cache(maxsize=None)
+# term_of's table: the terms of class <= 2, built on first use.  Every
+# class-3 term's children are among them, so a class-3 term costs one
+# node; larger terms are built fresh, and no term past class 2 is kept.
+_TABLE_SIZE = cumulative_size(2)
+_TABLE: dict[int, Term] = {}
+
+# Deepest node that keeps its prefix text.  A class-3 term (depth 4) then
+# renders as one f-string over its children's texts, and a text memo is
+# never longer than a class-2 term's.
+_TEXT_DEPTH = 3
+
+# The fields of functools' CacheInfo, which the tests and perfbench read.
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Memo:
+    """Hit and miss counts of a function whose results the terms keep, with
+    ``lru_cache``'s controls over them.
+
+    A cache holds what the table holds: for ``term_of`` its terms, and for
+    a memo ``slot`` that slot of each tabled node.  ``clear`` drops those,
+    so no tabled term keeps a result from before it.
+    """
+
+    __slots__ = ("hits", "misses", "slot")
+
+    def __init__(self, slot: str | None = None):
+        self.hits = self.misses = 0
+        self.slot = slot
+
+    def info(self) -> _CacheInfo:
+        if self.slot is None:
+            held = len(_TABLE)
+        else:
+            held = sum(getattr(t, self.slot) is not None for t in _TABLE.values() if type(t) is Node)
+        return _CacheInfo(self.hits, self.misses, _TABLE_SIZE, held)
+
+    def clear(self) -> None:
+        self.hits = self.misses = 0
+        if self.slot is None:
+            _TABLE.clear()
+            return
+        for t in _TABLE.values():
+            if type(t) is Node:
+                _set(t, self.slot, None)
+
+
+_TERMS, _INDICES, _CIRCUITS = _Memo(), _Memo("_index"), _Memo("_circuit")
+
+
 def index_of(term: Term) -> int:
-    if isinstance(term, FreeVar):
-        return 0
+    delta = term._index
+    if delta is not None:
+        _INDICES.hits += 1
+        return delta
+    _INDICES.misses += 1
     k = class_of(term)
     if k == 0:
-        return int(term.op)
-    a, b = _region_bounds(k)
-    pairs = a * a - b * b
-    rank = (int(term.op) - 1) * pairs + _pair_rank(index_of(term.left), index_of(term.right), a, b)
-    return cumulative_size(k - 1) + rank
+        delta = int(term.op)
+    else:
+        a, b = _region_bounds(k)
+        pairs = a * a - b * b
+        rank = (int(term.op) - 1) * pairs + _pair_rank(index_of(term.left), index_of(term.right), a, b)
+        delta = cumulative_size(k - 1) + rank
+    _set(term, "_index", delta)
+    return delta
 
 
-@lru_cache(maxsize=None)
 def term_of(delta: int) -> Term:
+    # Only a plain int looks in the table before the checks: a bool is an
+    # int too, and True would find the entry of 1.
+    term = _TABLE.get(delta) if type(delta) is int else None
+    if term is not None:
+        _TERMS.hits += 1
+        return term
     if not isinstance(delta, int) or isinstance(delta, bool) or delta < 0:
         raise ValueError(f"index must be a non-negative integer, got {delta!r}")
-    if delta == 0:
-        return FREE
+    _TERMS.misses += 1
+    return _build(int(delta))
+
+
+def _build(delta: int) -> Term:
+    """The term of a non-negative index: from the table, or built from its
+    children and tabled if it is of class <= 2."""
+    term = _TABLE.get(delta)
+    if term is not None:
+        return term
     if delta <= 2:
-        return Node(BinOp(delta), FREE, FREE)
-    k = 1
-    while cumulative_size(k) <= delta:
-        k += 1
-    a, b = _region_bounds(k)
-    pairs = a * a - b * b
-    op, r = divmod(delta - cumulative_size(k - 1), pairs)
-    x, y = _pair_unrank(r, a, b)
-    return Node(BinOp(op + 1), term_of(x), term_of(y))
+        term = FREE if delta == 0 else Node(_OPS[delta], FREE, FREE)
+    else:
+        k = 1
+        while cumulative_size(k) <= delta:
+            k += 1
+        a, b = _region_bounds(k)
+        op, r = divmod(delta - cumulative_size(k - 1), a * a - b * b)
+        x, y = _pair_unrank(r, a, b)
+        term = Node(_OPS[op + 1], _build(x), _build(y))
+    if delta < _TABLE_SIZE:
+        _TABLE[delta] = term
+    return term
 
 
 def decompose_index(delta: int) -> tuple[int, int, int] | None:
@@ -238,10 +346,12 @@ def render_term(term: Term) -> str:
 
 
 def _prefix(t: Term) -> str:
-    if isinstance(t, FreeVar):
-        return "M0"
-    tag = "P" if t.op is _SUM else "T"
-    return f"{tag}({_prefix(t.left)},{_prefix(t.right)})"
+    text = t._text
+    if text is None:
+        text = f"{'P' if t.op is _SUM else 'T'}({_prefix(t.left)},{_prefix(t.right)})"
+        if t.depth <= _TEXT_DEPTH:
+            _set(t, "_text", text)
+    return text
 
 
 def render_infix(term: Term) -> str:
@@ -409,25 +519,33 @@ def _oracle(t: Term, args: Iterator[int]) -> int:
     return lhs + rhs if t.op is _SUM else lhs * rhs
 
 
-@lru_cache(maxsize=None)
 def compile_term(term: Term) -> Circuit:
     """Gate program computing a term on basis states.
 
     Inputs occupy the first ``arity`` registers, leaves left to right;
     every multiplication node owns one ancilla register that starts at 0.
+    A node keeps its circuit, so a second call on it compiles nothing.
     """
+    circuit = term._circuit
+    if circuit is not None:
+        _CIRCUITS.hits += 1
+        return circuit
+    _CIRCUITS.misses += 1
     if term.depth > MAX_WALK_DEPTH:
         raise TermDepthError(term)
     n = term.arity
     steps: list[GateStep] = []
     next_ancilla = [n]
     result = _emit(term, 0, steps, next_ancilla)
-    return Circuit(
+    circuit = Circuit(
         program=GateProgram(tuple(steps)),
         arity=n,
         constants=(0,) * (next_ancilla[0] - n),
         result_register=result,
     )
+    if type(term) is Node:
+        _set(term, "_circuit", circuit)
+    return circuit
 
 
 def _emit(t: Term, leaf: int, steps: list[GateStep], next_ancilla: list[int]) -> int:
@@ -448,6 +566,11 @@ def _emit(t: Term, leaf: int, steps: list[GateStep], next_ancilla: list[int]) ->
     next_ancilla[0] += 1
     steps.append(GateStep(_MULTIPLIER, (lhs, rhs, out)))
     return out
+
+
+term_of.cache_info, term_of.cache_clear = _TERMS.info, _TERMS.clear
+index_of.cache_info, index_of.cache_clear = _INDICES.info, _INDICES.clear
+compile_term.cache_info, compile_term.cache_clear = _CIRCUITS.info, _CIRCUITS.clear
 
 
 @dataclass(frozen=True, slots=True)

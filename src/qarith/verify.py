@@ -654,6 +654,12 @@ def church_sweep(
     pass, and must reach the same basis state, so every term checks the
     column pass against the basis lane.  Each disagreement is reported
     as a JSON-ready dict.
+
+    A term is compiled once: ``evaluate_gates`` leaves the circuit on the
+    term, where the ket route's ``compile_term`` finds it.  The sweep
+    holds one term at a time, since ``term_of`` builds each class-3 term
+    fresh and no cache keeps it, so a class-3 sweep runs in bounded
+    memory.
     """
     total = terms.cumulative_size(class_bound)
     labels = range(-CHURCH_ARGS, CHURCH_ARGS + 1)

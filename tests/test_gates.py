@@ -148,7 +148,7 @@ def reference_check_roles(registers, kind, roles):
     """The role check without its fast accept path: every rule, in order."""
     arity = ARITY.get(kind)
     if arity is None:
-        raise ValueError(f"not a multiplier mode: {kind!r}")
+        raise ValueError(f"not a gate kind: {kind!r}")
     if len(roles) != arity:
         raise ValueError(f"{kind.value} takes {arity} roles, got {roles}")
     if len(set(roles)) != len(roles):
@@ -355,6 +355,18 @@ def test_zero_ket_still_checks_roles():
     with pytest.raises(ValueError, match="role 5 out of range"):
         apply_plus(Ket(2, {}), (0, 5))
     assert run_program(GateProgram((GateStep(GateKind.PLUS, (0, 1)),)), Ket(2, {})) == Ket(2, {})
+
+
+def test_step_of_no_gate_kind_is_named_as_such():
+    # A step need not be a multiplier, so its bad kind is no multiplier
+    # mode; apply_times still words a bad mode as one.
+    program = GateProgram((GateStep("PLUS", (0, 1)),))
+    with pytest.raises(ProgramStepError) as exc:
+        run_basis(program, (1, 2))
+    assert str(exc.value) == "step 0 ('PLUS' (0, 1)): not a gate kind: 'PLUS'"
+    assert exc.value.step_index == 0 and type(exc.value.cause) is ValueError
+    with pytest.raises(ValueError, match=r"^not a multiplier mode: <GateKind.PLUS: 'PLUS'>$"):
+        apply_times(basis_ket(1, 2), GateKind.PLUS)
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """Term algebra: grading, canonical indexing, text forms, dual evaluation."""
 
+import copy
 import dataclasses
 import gc
 import itertools
 import json
+import pickle
 import random
 import sys
 
@@ -164,6 +166,71 @@ def test_term_of_validation():
         term_of(1.5)  # type: ignore[arg-type]
 
 
+def test_bool_index_never_reaches_the_table():
+    # The table is keyed by int, where True would find the entry of 1.
+    assert term_of(1) == ELEM_PLUS and term_of(0) is FREE
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"non-negative integer, got {flag!r}$"):
+            term_of(flag)
+
+    class Index(int):
+        """An int subclass: accepted as an index."""
+
+    assert term_of(Index(1)) == term_of(1)
+    assert term_of(Index(5000)) == term_of(5000)
+    with pytest.raises(ValueError):
+        term_of(Index(-1))
+
+
+def _pickled(term):
+    return pickle.loads(pickle.dumps(term))
+
+
+@pytest.mark.parametrize("copier", [copy.deepcopy, _pickled], ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("delta", [50, 50_000])
+def test_terms_copy_before_and_after_their_memos_fill(copier, delta):
+    term = term_of(delta)
+    for _ in ("memos unset", "memos filled"):
+        dup = copier(term)
+        assert dup is not term and dup == term and hash(dup) == hash(term)
+        assert index_of(dup) == index_of(term) == delta
+        assert render_term(dup) == render_term(term)
+        assert compile_term(dup) == compile_term(term)
+        evaluate_gates(term, (2,) * term.arity).to_json()
+
+
+def test_cache_clear_drops_what_tabled_terms_keep():
+    term = term_of(500)
+    compile_term(term), index_of(term), render_term(term)
+    assert compile_term.cache_info().currsize >= 1 and index_of.cache_info().currsize >= 1
+    compile_term.cache_clear()
+    index_of.cache_clear()
+    assert compile_term.cache_info() == index_of.cache_info() == (0, 0, 723, 0)
+    assert term_of(500) is term
+    ones = (1,) * term.arity
+    assert index_of(term) == 500 and compile_term(term).run(ones) == evaluate_oracle(term, ones)
+    assert compile_term.cache_info()[:2] == (0, 1) and index_of.cache_info().misses > 0
+    term_of.cache_clear()
+    assert term_of.cache_info() == (0, 0, 723, 0)
+    fresh = term_of(500)
+    assert fresh is not term and fresh == term
+    assert compile_term.cache_info().currsize == index_of.cache_info().currsize == 0
+
+
+def test_class3_evaluation_keeps_no_term():
+    # Only the 723 terms of class <= 2 stay in the table; a class-3 term,
+    # with its index, text and circuit, goes when its caller drops it.
+    rng = np.random.default_rng(28)
+    lo, hi = cumulative_size(2), cumulative_size(3)
+    for delta in rng.integers(lo, hi, size=2000):
+        term = term_of(int(delta))
+        evaluate_gates(term, tuple(int(v) for v in rng.integers(-9, 10, size=term.arity))).to_json()
+    del term
+    gc.collect()
+    assert term_of.cache_info().currsize <= 723
+    assert [obj for obj in gc.get_objects() if type(obj) is Node and obj.depth > 3] == []
+
+
 def test_bijection_report_class2():
     assert bijection_report(2) == ()
     assert [class_size(k) for k in range(3)] == [3, 16, 704]
@@ -239,8 +306,8 @@ def test_equal_valued_terms_stay_distinct():
         assert evaluate_oracle(left, args) == evaluate_oracle(right, args)
 
 
-def test_equal_terms_share_one_cache_entry():
-    # Built node by node, apart from term_of's cache: equal trees, distinct
+def test_equal_terms_compile_to_equal_programs():
+    # Built node by node, apart from term_of's table: equal trees, distinct
     # objects.  Each hash is stored at construction and equals the hash of
     # the (op, left, right) tuple the dataclass would compute.
     def build(depth):
@@ -254,11 +321,16 @@ def test_equal_terms_share_one_cache_entry():
     assert hash(first) == hash((first.op, first.left, first.right))
     assert first != node(P, first.left, first.right)
     assert repr(ELEM_PLUS) == "Node(op=<BinOp.PLUS: 1>, left=FreeVar(), right=FreeVar())"
+    # Each term keeps its own circuit: the twin compiles an equal program
+    # of its own, and neither, being outside term_of's table, is counted
+    # as held by the cache.
     compile_term.cache_clear()
     compiled = compile_term(first)
-    assert compile_term(second) is compiled
+    twin = compile_term(second)
+    assert twin is not compiled and twin == compiled
+    assert compile_term(first) is compiled and compile_term(second) is twin
     info = compile_term.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 0)
     assert index_of(second) == index_of(first)
     # hashing never walks the tree, so it works far below the recursion limit
     deep = FREE
@@ -288,7 +360,8 @@ def test_circuit_checks_its_roles_once(monkeypatch):
     real = gates._valid_steps
     monkeypatch.setattr(gates, "_valid_steps", lambda *a: sweeps.append(a) or real(*a))
     term = term_of(500)
-    circuit = compile_term.__wrapped__(term)
+    compile_term.cache_clear()
+    circuit = compile_term(term)
     assert len(sweeps) == 1 and len(circuit.program) > 0
     assert sweeps[0] == (circuit.registers, circuit.program.steps)
     args = tuple(range(1, term.arity + 1))
@@ -328,8 +401,9 @@ def reference_compile(term):
 
 
 def test_compile_matches_reference():
+    compile_term.cache_clear()
     for term in _shape_sample():
-        compiled, expected = compile_term.__wrapped__(term), reference_compile(term)
+        compiled, expected = compile_term(term), reference_compile(term)
         assert compiled.program.steps == expected.program.steps
         assert all(type(step) is GateStep for step in compiled.program.steps)
         assert (compiled.arity, compiled.constants, compiled.result_register) == (
