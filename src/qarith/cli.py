@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -138,23 +139,19 @@ def _parse_roles(text: str | None) -> tuple[int, ...] | None:
 
 def _config_from_args(args: argparse.Namespace) -> Config:
     base = Config() if args.config is None else Config.from_file(args.config)
-    return base.with_overrides(
-        dim=getattr(args, "dim", None),
-        epsilon=getattr(args, "epsilon", None),
-        dt=getattr(args, "dt", None),
-        t_max=getattr(args, "t_max", None),
-        class_bound=getattr(args, "class_bound", None),
-    )
+    fields = (f.name for f in dataclasses.fields(Config))
+    overrides = {name: value for name in fields if (value := getattr(args, name, None)) is not None}
+    return dataclasses.replace(base, **overrides)
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     state = Ket.from_json(_read_text(args.state))
     kind = _GATE_NAMES[args.gate]
     roles = _parse_roles(args.roles)
-    if args.repeat != 1 and kind is not GateKind.PLUS:
-        raise ValueError("--repeat is only meaningful for the plus gate")
-    if kind is GateKind.PLUS and args.repeat != 1:
+    if kind is GateKind.PLUS:
         out = repeat_plus(state, args.repeat, (0, 1) if roles is None else roles)
+    elif args.repeat != 1:
+        raise ValueError("--repeat is only meaningful for the plus gate")
     else:
         out = apply_gate(state, kind, roles)
     print(out.to_json())

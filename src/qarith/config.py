@@ -9,7 +9,6 @@ the commands that never propagate a state (``apply``, ``eval``,
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import numbers
@@ -116,11 +115,6 @@ class Config:
         check_dt(self.dt)
         check_t_max(self.t_max)
         check_class_bound(self.class_bound)
-
-    def with_overrides(self, **kwargs) -> Config:
-        """Replace the given fields, skipping None values."""
-        updates = {k: v for k, v in kwargs.items() if v is not None}
-        return dataclasses.replace(self, **updates) if updates else self
 
     def to_json_dict(self) -> dict:
         return {key: getattr(self, field) for key, field in _JSON_FIELDS.items()}

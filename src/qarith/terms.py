@@ -23,9 +23,10 @@ No cache holds a term past class 2.  ``term_of`` keeps a table of the
 each class-3 term's children come from the table.  Each node keeps its
 own index and compiled circuit once asked for them, and its prefix text
 when it is at most 3 deep; these memos live and die with the node, so a
-class-3 sweep holds one term at a time.  ``term_of``, ``index_of`` and
-``compile_term`` count hits and misses in ``cache_info()``, and
-``cache_clear()`` drops what the table holds, as an ``lru_cache`` would.
+class-3 sweep holds one term at a time.  The table is the only cache:
+``term_of``, ``index_of`` and ``compile_term`` count hits and misses in
+``cache_info()``, whose currsize is the table's size, and any one's
+``cache_clear()`` empties the table, with every memo its terms hold.
 """
 
 from __future__ import annotations
@@ -229,38 +230,28 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _Memo:
-    """Hit and miss counts of a function whose results the terms keep, with
-    ``lru_cache``'s controls over them.
+    """Hit and miss counts of one of ``term_of``, ``index_of`` and
+    ``compile_term``, with ``lru_cache``'s controls over them.
 
-    A cache holds what the table holds: for ``term_of`` its terms, and for
-    a memo ``slot`` that slot of each tabled node.  ``clear`` drops those,
-    so no tabled term keeps a result from before it.
+    The table is the only cache: its size is every function's currsize,
+    and any function's ``clear`` empties it, so the tabled terms and every
+    memo they hold go together.
     """
 
-    __slots__ = ("hits", "misses", "slot")
+    __slots__ = ("hits", "misses")
 
-    def __init__(self, slot: str | None = None):
+    def __init__(self):
         self.hits = self.misses = 0
-        self.slot = slot
 
     def info(self) -> _CacheInfo:
-        if self.slot is None:
-            held = len(_TABLE)
-        else:
-            held = sum(getattr(t, self.slot) is not None for t in _TABLE.values() if type(t) is Node)
-        return _CacheInfo(self.hits, self.misses, _TABLE_SIZE, held)
+        return _CacheInfo(self.hits, self.misses, _TABLE_SIZE, len(_TABLE))
 
     def clear(self) -> None:
         self.hits = self.misses = 0
-        if self.slot is None:
-            _TABLE.clear()
-            return
-        for t in _TABLE.values():
-            if type(t) is Node:
-                _set(t, self.slot, None)
+        _TABLE.clear()
 
 
-_TERMS, _INDICES, _CIRCUITS = _Memo(), _Memo("_index"), _Memo("_circuit")
+_TERMS, _INDICES, _CIRCUITS = _Memo(), _Memo(), _Memo()
 
 
 def index_of(term: Term) -> int:

@@ -44,6 +44,12 @@ class CheckResult:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
+def _verdict(name: str, problems: list[str], passed: str) -> CheckResult:
+    """A check that lists its problems: it passes with none, and a failing
+    detail names the first four."""
+    return CheckResult(name, not problems, "; ".join(problems[:4]) if problems else passed)
+
+
 # Labels of the sampled kets lie in -KET_LABELS..KET_LABELS.
 KET_LABELS = 50
 
@@ -121,8 +127,7 @@ def check_state_json(config: Config, rng: np.random.Generator) -> CheckResult:
             problems.append(f"accepted invalid document {bad[:30]!r}")
         except ValueError:
             pass
-    ok = not problems
-    return CheckResult("state_json", ok, "; ".join(problems) if problems else "40 round trips")
+    return _verdict("state_json", problems, "40 round trips")
 
 
 def check_zero_and_pruning(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -136,8 +141,7 @@ def check_zero_and_pruning(config: Config, rng: np.random.Generator) -> CheckRes
         problems.append("sub-threshold amplitude not pruned")
     if len(Ket(1, {(0,): 1e-14})) != 1:
         problems.append("above-threshold amplitude pruned")
-    ok = not problems
-    return CheckResult("zero_and_pruning", ok, "; ".join(problems) if problems else "as specified")
+    return _verdict("zero_and_pruning", problems, "as specified")
 
 
 # --- gate layer --------------------------------------------------------------
@@ -168,10 +172,7 @@ def check_gate_window(config: Config, rng: np.random.Generator) -> CheckResult:
             out = gates.apply_times(basis_ket(n, m, 0), gates.GateKind.TIMES_REVERSIBLE)
             if out.amplitude((n, m, n * m)) != 1.0:
                 problems.append(f"times_rev({n},{m})")
-    total = (2 * w + 1) ** 2
-    ok = not problems
-    detail = "; ".join(problems[:4]) if problems else f"{total} label pairs per gate"
-    return CheckResult("gate_window_exhaustive", ok, detail)
+    return _verdict("gate_window_exhaustive", problems, f"{(2 * w + 1) ** 2} label pairs per gate")
 
 
 def _gate_sample(rng: np.random.Generator, kind: gates.GateKind, support: int) -> Ket:
@@ -246,10 +247,7 @@ def check_iterate_matches_times(config: Config, rng: np.random.Generator) -> Che
                 direct = gates.apply_times(basis_ket(m, n))
                 if direct.amplitude((m, n * m)) != 1.0:
                     problems.append(f"times({m},{n})")
-    ok = not problems
-    return CheckResult(
-        "iterate_matches_times", ok, "; ".join(problems[:4]) if problems else "171 pairs"
-    )
+    return _verdict("iterate_matches_times", problems, "171 pairs")
 
 
 def check_gate_errors(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -279,8 +277,7 @@ def check_gate_errors(config: Config, rng: np.random.Generator) -> CheckResult:
     except gates.ProgramStepError as exc:
         if exc.step_index != 1 or not isinstance(exc.cause, gates.GateDomainError):
             problems.append(f"wrong step attribution: {exc}")
-    ok = not problems
-    return CheckResult("gate_errors", ok, "; ".join(problems) if problems else "as specified")
+    return _verdict("gate_errors", problems, "as specified")
 
 
 # --- dynamics ----------------------------------------------------------------
@@ -433,13 +430,10 @@ def check_stop_near_unit(config: Config, rng: np.random.Generator) -> CheckResul
                 problems.append(f"no stopping time for ({n},{m})")
             elif trace.stopping_time != expected:
                 problems.append(f"T({n},{m})={trace.stopping_time:.4f}, expected {expected:.4f}")
-    ok = not problems
-    return CheckResult(
+    return _verdict(
         "stop_near_unit",
-        ok,
-        "; ".join(problems[:4])
-        if problems
-        else f"{count} runs stop at the first grid time past the fidelity crossing",
+        problems,
+        f"{count} runs stop at the first grid time past the fidelity crossing",
     )
 
 
@@ -488,10 +482,7 @@ def check_truth_tables(config: Config, rng: np.random.Generator) -> CheckResult:
                 problems.append(f"arithmetic {name}{args}")
             if logic.eval_with_gates(name, *args) != want:
                 problems.append(f"gates {name}{args}")
-    ok = not problems
-    return CheckResult(
-        "truth_tables_dual", ok, "; ".join(problems) if problems else f"{cases} cases, both paths"
-    )
+    return _verdict("truth_tables_dual", problems, f"{cases} cases, both paths")
 
 
 def check_bit_domain(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -502,8 +493,7 @@ def check_bit_domain(config: Config, rng: np.random.Generator) -> CheckResult:
             problems.append(f"accepted {args!r}")
         except ValueError:
             pass
-    ok = not problems
-    return CheckResult("bit_domain", ok, "; ".join(problems) if problems else "as specified")
+    return _verdict("bit_domain", problems, "as specified")
 
 
 # --- operation terms ---------------------------------------------------------
@@ -540,10 +530,7 @@ def check_elementary_indices(config: Config, rng: np.random.Generator) -> CheckR
         problems.append("class sizes")
     if terms.cumulative_size(2) != 723:
         problems.append("cumulative size")
-    ok = not problems
-    return CheckResult(
-        "elementary_indices", ok, "; ".join(problems) if problems else "sizes 3/16/704"
-    )
+    return _verdict("elementary_indices", problems, "sizes 3/16/704")
 
 
 def check_golden_class1(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -553,10 +540,7 @@ def check_golden_class1(config: Config, rng: np.random.Generator) -> CheckResult
             problems.append(f"split({delta})")
         if terms.render_infix(terms.term_of(delta)) != infix:
             problems.append(f"infix({delta})")
-    ok = not problems
-    return CheckResult(
-        "golden_class1_table", ok, "; ".join(problems) if problems else "16 composed operations"
-    )
+    return _verdict("golden_class1_table", problems, "16 composed operations")
 
 
 def check_index_roundtrip(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -570,12 +554,7 @@ def check_index_roundtrip(config: Config, rng: np.random.Generator) -> CheckResu
         if k < last_class:
             problems.append(f"class order({delta})")
         last_class = k
-    ok = not problems
-    return CheckResult(
-        "index_roundtrip",
-        ok,
-        "; ".join(problems[:4]) if problems else "indices 0..10000, class-major",
-    )
+    return _verdict("index_roundtrip", problems, "indices 0..10000, class-major")
 
 
 def check_parse_render(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -598,8 +577,7 @@ def check_parse_render(config: Config, rng: np.random.Generator) -> CheckResult:
             problems.append(f"accepted {bad!r}")
         except terms.TermSyntaxError:
             pass
-    ok = not problems
-    return CheckResult("parse_render", ok, "; ".join(problems) if problems else "round trips stable")
+    return _verdict("parse_render", problems, "round trips stable")
 
 
 def check_dual_eval_examples(config: Config, rng: np.random.Generator) -> CheckResult:
@@ -620,10 +598,7 @@ def check_dual_eval_examples(config: Config, rng: np.random.Generator) -> CheckR
         problems.append("arity violation accepted")
     except terms.ArityError:
         pass
-    ok = not problems
-    return CheckResult(
-        "dual_eval_examples", ok, "; ".join(problems) if problems else f"{len(cases)} fixed cases"
-    )
+    return _verdict("dual_eval_examples", problems, f"{len(cases)} fixed cases")
 
 
 def check_bijection(config: Config, rng: np.random.Generator) -> CheckResult:

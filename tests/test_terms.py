@@ -200,21 +200,29 @@ def test_terms_copy_before_and_after_their_memos_fill(copier, delta):
 
 
 def test_cache_clear_drops_what_tabled_terms_keep():
-    term = term_of(500)
-    compile_term(term), index_of(term), render_term(term)
-    assert compile_term.cache_info().currsize >= 1 and index_of.cache_info().currsize >= 1
-    compile_term.cache_clear()
-    index_of.cache_clear()
-    assert compile_term.cache_info() == index_of.cache_info() == (0, 0, 723, 0)
-    assert term_of(500) is term
-    ones = (1,) * term.arity
-    assert index_of(term) == 500 and compile_term(term).run(ones) == evaluate_oracle(term, ones)
-    assert compile_term.cache_info()[:2] == (0, 1) and index_of.cache_info().misses > 0
-    term_of.cache_clear()
-    assert term_of.cache_info() == (0, 0, 723, 0)
-    fresh = term_of(500)
-    assert fresh is not term and fresh == term
-    assert compile_term.cache_info().currsize == index_of.cache_info().currsize == 0
+    # The table is the only cache: any one of the three cache_clear()
+    # calls empties it, and the tabled terms' memos go with them.
+    cached = (term_of, index_of, compile_term)
+    for clearing in cached:
+        term = term_of(500)
+        ones = (1,) * term.arity
+        compile_term(term), index_of(term), render_term(term)
+        clearing.cache_clear()
+        assert clearing.cache_info() == (0, 0, 723, 0)
+        assert len(terms._TABLE) == 0
+        fresh = term_of(500)
+        assert fresh is not term and fresh == term
+        # The fresh term's memos fill again: one miss each, then hits.
+        compiles, indexes = compile_term.cache_info(), index_of.cache_info()
+        circuit = compile_term(fresh)
+        assert index_of(fresh) == 500 and circuit.run(ones) == evaluate_oracle(fresh, ones)
+        assert compile_term.cache_info().misses == compiles.misses + 1
+        assert index_of.cache_info().misses > indexes.misses
+        assert compile_term(fresh) is circuit and index_of(fresh) == 500
+        assert compile_term.cache_info().hits == compiles.hits + 1
+        assert index_of.cache_info().hits > indexes.hits
+        assert [fn.cache_info().currsize for fn in cached] == [len(terms._TABLE)] * 3
+        assert len(terms._TABLE) > 1
 
 
 def test_class3_evaluation_keeps_no_term():

@@ -28,6 +28,7 @@ from qarith.verify import (
     SUITES,
     check_church_correspondence,
     check_norm_algebra,
+    check_state_json,
     check_stop_near_unit,
     church_sweep,
     run_suite,
@@ -53,6 +54,30 @@ def test_check(report, index):
     check = report["checks"][index]
     print(f"{check['name']}: {check['detail']}")
     assert check["ok"], check["detail"]
+
+
+# The passing detail of each check that lists its problems, at seed 0.
+# These hold counts only, so they read the same on every platform.
+PASSING_DETAILS = {
+    "state_json": "40 round trips",
+    "zero_and_pruning": "as specified",
+    "gate_window_exhaustive": "4225 label pairs per gate",
+    "iterate_matches_times": "171 pairs",
+    "gate_errors": "as specified",
+    "stop_near_unit": "36 runs stop at the first grid time past the fidelity crossing",
+    "truth_tables_dual": "12 cases, both paths",
+    "bit_domain": "as specified",
+    "elementary_indices": "sizes 3/16/704",
+    "golden_class1_table": "16 composed operations",
+    "index_roundtrip": "indices 0..10000, class-major",
+    "parse_render": "round trips stable",
+    "dual_eval_examples": "5 fixed cases",
+}
+
+
+def test_problem_list_checks_pass_with_their_counts(report):
+    details = {check["name"]: check["detail"] for check in report["checks"]}
+    assert {name: details[name] for name in PASSING_DETAILS} == PASSING_DETAILS
 
 
 def _adding_terms(class_bound):
@@ -430,6 +455,15 @@ FAULTS = (
         r"'agree': True, 'basis_lane': .*'ket_route'",
     ),
 )
+
+
+def test_a_failing_detail_lists_its_first_four_problems(monkeypatch):
+    # Under its planted fault every one of state_json's 40 round trips
+    # fails twice; the detail names the first four of those 80 problems.
+    next(fault for fault in FAULTS if fault.check == "check_state_json").plant(monkeypatch)
+    result = check_state_json(Config(), np.random.default_rng(0))
+    assert not result.ok
+    assert result.detail.split("; ") == ["roundtrip value drift", "serialization not stable"] * 2
 
 
 def test_every_check_has_a_planted_fault():
