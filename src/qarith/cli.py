@@ -68,8 +68,9 @@ _EXIT_CODES: dict[type[Exception], int] = {
     DisagreementError: EXIT_FAIL,
 }
 
-# Indices of class <= _MAX_INDEX_CLASS: their terms' prefix and infix
-# forms are at most MAX_TERM_DEPTH deep, so they parse back.
+# The largest class there is, as no term is deeper than MAX_TERM_DEPTH.
+# Checked before term_of, which would refuse a larger one too, so the
+# message names the bound and no larger class's size is computed.
 _MAX_INDEX_CLASS = MAX_TERM_DEPTH - 1
 
 # Most terms one enumerate prints.  Lines stream as their terms are

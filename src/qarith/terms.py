@@ -18,6 +18,10 @@ enumerating anything.
 Evaluation is dual: an exact integer recursion, and compilation to a
 gate program over basis states whose results must agree.
 
+No term nests deeper than MAX_TERM_DEPTH = 13, however it is built, so
+every term has an index of at most 3,236 digits and every walk over a
+term recurses at most 13 deep.
+
 No cache holds a term past class 2.  ``term_of`` keeps a table of the
 723 terms of class <= 2 and builds every larger term fresh from it, so
 each class-3 term's children come from the table.  Each node keeps its
@@ -61,18 +65,24 @@ class FreeVar:
     _circuit = None
 
 
-# Deepest term the recursive tree walks (render_term, render_infix,
-# compile_term, evaluate_oracle and repr) accept.  Each recurses once per
-# level, well inside Python's default recursion limit of 1000, and the
-# bound is far past the MAX_TERM_DEPTH = 13 that parsed terms reach.
-MAX_WALK_DEPTH = 200
+class TermSyntaxError(ValueError):
+    """Unparseable term text."""
 
 
-class TermDepthError(ValueError):
-    """A term deeper than MAX_WALK_DEPTH, built directly with ``Node``."""
+# Deepest term there is: at most this many operations on any root-to-leaf
+# path.  A term of depth d has class d - 1, and the index grows doubly
+# exponentially with class: class 12 indices have at most 3,236 digits,
+# class 13 ones up to 6,472, past the 4,300 digits Python prints by
+# default.  Term text meets the bound too: at most this many nested
+# parentheses or P(/T( groups.
+MAX_TERM_DEPTH = 13
 
-    def __init__(self, term: "Term"):
-        super().__init__(f"term is {term.depth} deep, past MAX_WALK_DEPTH = {MAX_WALK_DEPTH}")
+_TOO_DEEP = f"term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}"
+
+
+class TermDepthError(TermSyntaxError):
+    """A term or its text nesting deeper than MAX_TERM_DEPTH, raised by
+    ``Node`` however the node is built."""
 
 
 # Nodes are frozen: their fields and memos are written with object's own
@@ -85,7 +95,6 @@ class Node:
     op: BinOp
     left: "Term"
     right: "Term"
-    _hash: int = field(init=False, repr=False, compare=False)
     arity: int = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
     # Memos, None until first asked for: the index, the prefix text (kept
@@ -95,15 +104,17 @@ class Node:
     _circuit: Circuit | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, op: BinOp, left: "Term", right: "Term") -> None:
-        # The hash the dataclass would give, the leaf count and the longest
-        # root-to-leaf path come from the children's stored values, so
-        # cache lookups and shape reads never walk the tree.
+        # The leaf count and the longest root-to-leaf path come from the
+        # children's stored values, so shape reads and the depth bound
+        # never walk the tree.
+        depth = 1 + max(left.depth, right.depth)
+        if depth > MAX_TERM_DEPTH:
+            raise TermDepthError(_TOO_DEEP)
         _set(self, "op", op)
         _set(self, "left", left)
         _set(self, "right", right)
-        _set(self, "_hash", hash((op, left, right)))
         _set(self, "arity", left.arity + right.arity)
-        _set(self, "depth", 1 + max(left.depth, right.depth))
+        _set(self, "depth", depth)
         _set(self, "_index", None)
         _set(self, "_text", None)
         _set(self, "_circuit", None)
@@ -112,35 +123,6 @@ class Node:
         # A copy or an unpickled term is built again from its parts, so it
         # starts with no memos.
         return (Node, (self.op, self.left, self.right))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        # Walks both terms with an explicit stack, so terms of any depth
-        # compare; a differing stored hash or depth ends the walk at once.
-        if self is other:
-            return True
-        if type(other) is not Node:
-            return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if type(a) is Node:
-                if a._hash != b._hash or a.depth != b.depth or a.op != b.op:
-                    return False
-                pairs.append((a.right, b.right))
-                pairs.append((a.left, b.left))
-        return True
-
-    def __repr__(self) -> str:
-        if self.depth > MAX_WALK_DEPTH:
-            return f"Node(<{self.depth} deep, arity {self.arity}>)"
-        return f"Node(op={self.op!r}, left={self.left!r}, right={self.right!r})"
 
 
 Term = FreeVar | Node
@@ -273,6 +255,8 @@ def index_of(term: Term) -> int:
 
 
 def term_of(delta: int) -> Term:
+    """The term of an index below ``cumulative_size(12)``, i.e. of class
+    <= 12; a larger index raises TermDepthError, as its term is too deep."""
     # Only a plain int looks in the table before the checks: a bool is an
     # int too, and True would find the entry of 1.
     term = _TABLE.get(delta) if type(delta) is int else None
@@ -331,8 +315,6 @@ _VAR_NAMES = "nmklpqrsabcdefgh"
 
 def render_term(term: Term) -> str:
     """Prefix form: M0, P(a,b), T(a,b)."""
-    if term.depth > MAX_WALK_DEPTH:
-        raise TermDepthError(term)
     return _prefix(term)
 
 
@@ -347,8 +329,6 @@ def _prefix(t: Term) -> str:
 
 def render_infix(term: Term) -> str:
     """Infix form with fresh single-letter arguments, products by juxtaposition."""
-    if term.depth > MAX_WALK_DEPTH:
-        raise TermDepthError(term)
     return _infix(term, map(_var_name, count()))
 
 
@@ -369,27 +349,9 @@ def _infix(t: Term, names: Iterator[str]) -> str:
     return f"{_wrap(lhs, t.left)}{_wrap(rhs, t.right)}"
 
 
-class TermSyntaxError(ValueError):
-    """Unparseable term text."""
-
-
-# Deepest term text parse_term accepts: at most this many operations on
-# any root-to-leaf path, and at most this many nested parentheses or
-# P(/T( groups.  A term of depth d has class d - 1, and the index grows
-# doubly exponentially with class: class 12 indices have up to about
-# 3,200 decimal digits, class 13 ones up to about 6,500, past the 4,300
-# digits Python turns into text by default, and indexing a 26-leaf sum
-# (class 24) did not finish within a minute on a 2-vCPU machine.  The
-# bound keeps every parsed term printable by eval and show, and the
-# parser's recursion shallow.
-MAX_TERM_DEPTH = 13
-
 # P and T are prefix operators only when a parenthesis follows; otherwise a
 # single letter is a variable leaf.
 _TOKEN = re.compile(r"\s*(?:(?P<op>[PT])\(|(?P<m0>M0)|(?P<var>x\d+|[A-Za-z])|(?P<punct>[+*(),]))")
-
-_TOO_DEEP = f"term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}"
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -429,18 +391,11 @@ class _Parser:
             raise TermSyntaxError(f"trailing input from token {self.peek()[1]!r}")
         return term
 
-    @staticmethod
-    def node(op: BinOp, left: Term, right: Term) -> Term:
-        term = Node(op, left, right)
-        if term.depth > MAX_TERM_DEPTH:
-            raise TermSyntaxError(_TOO_DEEP)
-        return term
-
     def sum(self) -> Term:
         term = self.product()
         while self.peek() == ("punct", "+"):
             self.take()
-            term = self.node(BinOp.PLUS, term, self.product())
+            term = Node(BinOp.PLUS, term, self.product())
         return term
 
     def product(self) -> Term:
@@ -449,9 +404,9 @@ class _Parser:
             tok = self.peek()
             if tok == ("punct", "*"):
                 self.take()
-                term = self.node(BinOp.TIMES, term, self.factor())
+                term = Node(BinOp.TIMES, term, self.factor())
             elif tok is not None and tok[1] not in ("+", ")", ","):
-                term = self.node(BinOp.TIMES, term, self.factor())
+                term = Node(BinOp.TIMES, term, self.factor())
             else:
                 return term
 
@@ -463,14 +418,14 @@ class _Parser:
         if kind == "op" or (kind, text) == ("punct", "("):
             self.nesting += 1
             if self.nesting > MAX_TERM_DEPTH:
-                raise TermSyntaxError(_TOO_DEEP)
+                raise TermDepthError(_TOO_DEEP)
             if kind == "op":
                 self.take("(")
                 left = self.sum()
                 self.take(",")
                 right = self.sum()
                 self.take(")")
-                term = self.node(BinOp.PLUS if text == "P" else BinOp.TIMES, left, right)
+                term = Node(BinOp.PLUS if text == "P" else BinOp.TIMES, left, right)
             else:
                 term = self.sum()
                 self.take(")")
@@ -497,8 +452,6 @@ def evaluate_oracle(term: Term, args: tuple[int, ...]) -> int:
     for v in args:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"arguments must be integers, got {v!r}")
-    if term.depth > MAX_WALK_DEPTH:
-        raise TermDepthError(term)
     return _oracle(term, iter(args))
 
 
@@ -522,8 +475,6 @@ def compile_term(term: Term) -> Circuit:
         _CIRCUITS.hits += 1
         return circuit
     _CIRCUITS.misses += 1
-    if term.depth > MAX_WALK_DEPTH:
-        raise TermDepthError(term)
     n = term.arity
     steps: list[GateStep] = []
     next_ancilla = [n]

@@ -21,7 +21,6 @@ from qarith.states import Ket
 from qarith.terms import (
     FREE,
     MAX_TERM_DEPTH,
-    MAX_WALK_DEPTH,
     ArityError,
     BinOp,
     EvalReport,
@@ -51,6 +50,14 @@ P, T = BinOp.PLUS, BinOp.TIMES
 
 def node(op, left, right):
     return Node(op, left, right)
+
+
+def chain(op, depth):
+    """A left-deep chain of ``depth`` nodes of one operation."""
+    term = FREE
+    for _ in range(depth):
+        term = node(op, term, FREE)
+    return term
 
 
 ELEM_PLUS = node(P, FREE, FREE)
@@ -107,11 +114,10 @@ def test_stored_shape_matches_a_walk():
 def test_shape_of_a_deep_chain():
     # Built node by node, so no walk is needed to make it; reading its
     # shape must not need one either.
-    term = FREE
-    for _ in range(5000):
-        term = Node(P, term, FREE)
-    assert arity(term) == 5001
-    assert class_of(term) == 4999
+    term = chain(P, MAX_TERM_DEPTH)
+    assert term.depth == MAX_TERM_DEPTH
+    assert arity(term) == MAX_TERM_DEPTH + 1
+    assert class_of(term) == MAX_TERM_DEPTH - 1
 
 
 def test_stored_shape_leaves_identity_alone():
@@ -122,7 +128,12 @@ def test_stored_shape_leaves_identity_alone():
     twin = node(T, node(T, FREE, FREE), node(T, FREE, FREE))
     assert twin == term_of(18) and hash(twin) == hash(term_of(18))
     assert hash(twin) == hash((twin.op, twin.left, twin.right))
+    assert len({twin, term_of(18)}) == 1 and {twin: 1, term_of(18): 2} == {twin: 2}
+    # equal children under different ops, swapped children, and other types
     assert node(P, FREE, FREE) != node(T, FREE, FREE)
+    assert twin != node(P, twin.left, twin.right)
+    assert node(P, ELEM_PLUS, FREE) != node(P, FREE, ELEM_PLUS)
+    assert ELEM_PLUS != FREE and ELEM_PLUS != "P(M0,M0)" and FREE != ELEM_PLUS
 
 
 def test_elementary_indices():
@@ -316,8 +327,7 @@ def test_equal_valued_terms_stay_distinct():
 
 def test_equal_terms_compile_to_equal_programs():
     # Built node by node, apart from term_of's table: equal trees, distinct
-    # objects.  Each hash is stored at construction and equals the hash of
-    # the (op, left, right) tuple the dataclass would compute.
+    # objects, whose hash is that of their (op, left, right) tuple.
     def build(depth):
         if depth == 0:
             return ELEM_PLUS
@@ -340,11 +350,6 @@ def test_equal_terms_compile_to_equal_programs():
     info = compile_term.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 0)
     assert index_of(second) == index_of(first)
-    # hashing never walks the tree, so it works far below the recursion limit
-    deep = FREE
-    for _ in range(5000):
-        deep = node(P, deep, FREE)
-    assert hash(deep) == hash((P, deep.left, FREE))
 
 
 def test_compiled_structure():
@@ -441,56 +446,43 @@ def test_cold_evaluation_leaves_no_reference_cycles():
         gc.enable()
 
 
-def plus_chain(depth):
-    term = FREE
-    for _ in range(depth):
-        term = node(P, term, FREE)
-    return term
-
-
 def test_deep_terms_raise_a_named_error():
-    # A term built directly with Node can nest past the recursion limit.
-    # Each recursive walk refuses it by its stored depth before walking;
-    # index_of is not guarded (a chain's index doubles its bit length per
-    # level, so no walk could compute it).
-    deep = plus_chain(5_000)
-    assert arity(deep) == 5_001 and class_of(deep) == 4_999
-    walks = (render_term, render_infix, compile_term, lambda t: evaluate_oracle(t, (1,) * t.arity))
-    for walk in walks:
-        with pytest.raises(TermDepthError, match=r"^term is 5000 deep, past MAX_WALK_DEPTH = 200$"):
-            walk(deep)
-    assert issubclass(TermDepthError, ValueError)
-    assert repr(deep) == "Node(<5000 deep, arity 5001>)"
+    # No node nests past MAX_TERM_DEPTH, however it is built, and the error
+    # is the parser's: a TermSyntaxError, so a ValueError too.
+    edge = chain(P, MAX_TERM_DEPTH)
+    assert issubclass(TermDepthError, TermSyntaxError) and issubclass(TermDepthError, ValueError)
+    for make in (lambda: node(P, edge, FREE), lambda: node(T, FREE, edge), lambda: node(P, edge, edge)):
+        with pytest.raises(TermDepthError, match=rf"^term nests deeper than MAX_TERM_DEPTH = {MAX_TERM_DEPTH}$"):
+            make()
     # exactly at the bound every walk still answers
-    edge = plus_chain(MAX_WALK_DEPTH)
-    ones = (1,) * (MAX_WALK_DEPTH + 1)
-    assert render_term(edge) == "P(" * MAX_WALK_DEPTH + "M0" + ",M0)" * MAX_WALK_DEPTH
-    assert render_infix(edge).count("+") == MAX_WALK_DEPTH
-    assert evaluate_oracle(edge, ones) == compile_term(edge).run(ones) == MAX_WALK_DEPTH + 1
+    ones = (1,) * (MAX_TERM_DEPTH + 1)
+    assert render_term(edge) == "P(" * MAX_TERM_DEPTH + "M0" + ",M0)" * MAX_TERM_DEPTH
+    assert render_infix(edge).count("+") == MAX_TERM_DEPTH
+    assert evaluate_oracle(edge, ones) == compile_term(edge).run(ones) == MAX_TERM_DEPTH + 1
+    assert index_of(edge) == index_of(parse_term(render_term(edge)))
     assert repr(edge).startswith("Node(op=<BinOp.PLUS: 1>, left=Node(op=")
-    assert repr(edge).count("FreeVar()") == MAX_WALK_DEPTH + 1
-    with pytest.raises(TermDepthError):
-        render_term(node(P, edge, FREE))
+    assert repr(edge).count("FreeVar()") == MAX_TERM_DEPTH + 1
 
 
-def test_deep_terms_compare_without_recursion():
-    # Two equal chains built apart share no nodes, so equality walks all
-    # 5,000 levels; it must not need the call stack to do so.
-    first, second = plus_chain(5_000), plus_chain(5_000)
-    assert first is not second and first == second and not first != second
-    assert len({first, second}) == 1 and {first: 1, second: 2} == {first: 2}
-    assert first != plus_chain(4_999) and first != node(P, plus_chain(4_999), ELEM_PLUS)
-    assert first != node(T, first.left, first.right)
-    # equal stored hashes and depths still leave the ops and leaves to compare
-    forged = node(T, first.left, first.right)
-    object.__setattr__(forged, "_hash", hash(first))
-    assert first != forged and forged != second
-    swapped = node(P, ELEM_PLUS, FREE)
-    object.__setattr__(swapped, "_hash", hash(node(P, FREE, ELEM_PLUS)))
-    assert swapped != node(P, FREE, ELEM_PLUS)
-    assert first != FREE and first != "P(M0,M0)"
+def _times_tree(depth):
+    return FREE if depth == 0 else node(T, _times_tree(depth - 1), _times_tree(depth - 1))
+
+
+def test_term_of_covers_every_term_and_no_more():
+    # Every index below cumulative_size(12) has a term at most
+    # MAX_TERM_DEPTH deep; the next one would be deeper.
+    bound = cumulative_size(MAX_TERM_DEPTH - 1)
+    assert term_of(bound - 1).depth == MAX_TERM_DEPTH
     with pytest.raises(TermDepthError):
-        compile_term(second)
+        term_of(bound)
+    with pytest.raises(TermDepthError):
+        next(enumerate_class(MAX_TERM_DEPTH))
+    # The largest terms there are: every index prints under the default
+    # digit limit and maps back to its term.
+    for term in (chain(P, MAX_TERM_DEPTH), chain(T, MAX_TERM_DEPTH), _times_tree(MAX_TERM_DEPTH)):
+        delta = index_of(term)
+        assert delta < bound and len(str(delta)) <= 3_236
+        assert term_of(delta) == term
 
 
 def test_dual_evaluation_examples():
