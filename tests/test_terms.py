@@ -468,6 +468,22 @@ def _times_tree(depth):
     return FREE if depth == 0 else node(T, _times_tree(depth - 1), _times_tree(depth - 1))
 
 
+def test_deep_terms_compare_without_recursion():
+    # Terms built apart share no nodes, so equality walks every level; no
+    # term is deeper than MAX_TERM_DEPTH, so that walk stays far inside the
+    # call stack, for the deepest chains and the widest tree alike.
+    for build in (lambda: chain(P, MAX_TERM_DEPTH), lambda: _times_tree(MAX_TERM_DEPTH)):
+        first, second = build(), build()
+        assert first is not second and first == second and not first != second
+        assert len({first, second}) == 1 and {first: 1, second: 2} == {first: 2}
+    first = chain(P, MAX_TERM_DEPTH)
+    # a difference at the bottom, at the top, or in the depth alone
+    assert first != node(P, node(P, chain(P, MAX_TERM_DEPTH - 2), ELEM_TIMES), FREE)
+    assert first != node(T, first.left, first.right)
+    assert first != chain(P, MAX_TERM_DEPTH - 1) and first != node(P, chain(P, MAX_TERM_DEPTH - 2), ELEM_PLUS)
+    assert first != _times_tree(MAX_TERM_DEPTH) and first != FREE and first != render_term(first)
+
+
 def test_term_of_covers_every_term_and_no_more():
     # Every index below cumulative_size(12) has a term at most
     # MAX_TERM_DEPTH deep; the next one would be deeper.
