@@ -138,4 +138,6 @@ class Config:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {path!r} is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ValueError(f"config file {path!r} nests too deeply to read") from None
         return Config.from_json_dict(obj)

@@ -201,22 +201,13 @@ class GateProgram:
         return len(self.steps)
 
 
-def _valid_steps(registers: int, steps: tuple[GateStep, ...]) -> int:
-    """How many leading steps have roles valid on ``registers`` registers."""
+def _check_steps(registers: int, steps: tuple[GateStep, ...]) -> None:
+    """Raise the first step's role error on ``registers`` registers, if any, with its index."""
     for i, step in enumerate(steps):
         try:
             _check_roles(registers, step.kind, step.roles)
-        except ValueError:
-            return i
-    return len(steps)
-
-
-def _check_step(registers: int, steps: tuple[GateStep, ...], i: int) -> None:
-    """Raise step ``i``'s role error on ``registers`` registers, if any, with its index."""
-    try:
-        _check_roles(registers, steps[i].kind, steps[i].roles)
-    except ValueError as exc:
-        raise ProgramStepError(i, steps[i], exc) from exc
+        except ValueError as exc:
+            raise ProgramStepError(i, step, exc) from exc
 
 
 # Bound once: looking up an Enum member costs more than a gate's
@@ -226,29 +217,23 @@ def _check_step(registers: int, steps: tuple[GateStep, ...], i: int) -> None:
 _PLUS, _MINUS, _TIMES_REVERSIBLE = GateKind.PLUS, GateKind.MINUS, GateKind.TIMES_REVERSIBLE
 
 
-def _program_map(
-    steps: tuple[GateStep, ...], valid: int
-) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _program_map(steps: tuple[GateStep, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """A program's label map: one basis state's labels in, its final labels out.
 
     A basis state runs it on its one label tuple (``run_basis``,
     ``Circuit.run``); a ket runs it on each of its components only where
     its column pass cannot name the failing one (``run_program``).  The
-    first ``valid`` steps must have roles checked against the tuple's
-    length; they run without further checks.  If a step after them
-    remains, it raises its role error once they have run, so a gate error
-    in an earlier step wins.  A failure is a ``ProgramStepError`` with the
-    step index; a gate error names the component as it stood at that
-    step.
+    steps' roles must have been checked against the tuple's length
+    (``_check_steps``); they run without further checks.  A failure is a
+    ``ProgramStepError`` with the step index; a gate error names the
+    component as it stood at that step.
     """
-    head = steps[:valid]
-    bad_step = valid < len(steps)
 
     def run(labels: tuple[int, ...]) -> tuple[int, ...]:
         regs = list(labels)
         i = 0
         try:
-            for kind, roles in head:
+            for kind, roles in steps:
                 if kind is _PLUS:
                     s, t = roles
                     regs[t] += regs[s]
@@ -268,8 +253,6 @@ def _program_map(
                 i += 1
         except ValueError as exc:
             raise ProgramStepError(i, steps[i], exc) from exc
-        if bad_step:
-            _check_step(len(regs), steps, valid)
         return tuple(regs)
 
     return run
@@ -310,23 +293,19 @@ def run_program(program: GateProgram, state: Ket) -> Ket:
     The result carries its columns, so a chain of programs transposes the
     first ket's labels once.
 
-    The roles are checked once, against the ket's register count.  A
-    failing program reports the first component, in the ket's order, that
-    fails, at the step where it fails; a step with bad roles fails every
-    component that reaches it, and a ket with no components too.  Columns
-    cannot tell which component fails first, so when a gate would fail, or
-    a step has bad roles, the label map runs component by component and
-    raises that component's error; some component always fails there.
+    The roles are checked against the ket's register count on every
+    call, before any step runs.  A program whose gate fails reports the
+    first component, in the ket's order, that fails, at the step where
+    it fails.  Columns cannot tell which component that is, so when a gate
+    would fail, the label map runs component by component and raises
+    that component's error; some component always fails there.
     """
     steps = program.steps
-    valid = _valid_steps(state.registers, steps)
-    if valid == len(steps):
-        cols = state._columns()
-        if _run_columns(steps, cols):
-            return state._relabeled(cols)
-    elif not state:
-        _check_step(state.registers, steps, valid)
-    run = _program_map(steps, valid)
+    _check_steps(state.registers, steps)
+    cols = state._columns()
+    if _run_columns(steps, cols):
+        return state._relabeled(cols)
+    run = _program_map(steps)
     for key, _ in state.items():
         run(key)
     raise RuntimeError("the column pass failed where every component's label map succeeds")
@@ -347,11 +326,11 @@ def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
     ``basis_ket(*labels)`` without building a ket: it returns the final
     state's labels, and fails with the same errors.  A bare program has
     no register layout, so its roles are checked against ``len(labels)``
-    on every call; a ``Circuit`` checks them once.
+    on every call, before any step runs; a ``Circuit`` checks them once.
     """
     _check_labels(labels)
-    steps = program.steps
-    return _program_map(steps, _valid_steps(len(labels), steps))(labels)
+    _check_steps(len(labels), program.steps)
+    return _program_map(program.steps)(labels)
 
 
 @dataclass(frozen=True)
@@ -364,8 +343,8 @@ class Circuit:
 
     The program's roles are checked against ``registers`` once, when the
     circuit is built, and its label map is built then too.  A circuit
-    with bad roles can still be built: its run fails at the first bad
-    step, with ``run_program``'s error.
+    with bad roles is not built: construction raises ``run_program``'s
+    error for the first bad step.
     """
 
     program: GateProgram
@@ -379,7 +358,8 @@ class Circuit:
 
     def __post_init__(self) -> None:
         steps = self.program.steps
-        object.__setattr__(self, "_run", _program_map(steps, _valid_steps(self.registers, steps)))
+        _check_steps(self.registers, steps)
+        object.__setattr__(self, "_run", _program_map(steps))
 
     @property
     def registers(self) -> int:

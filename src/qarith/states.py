@@ -302,11 +302,18 @@ class Ket:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise ValueError(_TOO_DEEP) from None
         except ValueError:
             # Only an integer too long to read from text fails here.
             _name_long_integer(text)
             raise
         return Ket.from_json_dict(obj)
+
+
+# The JSON parser recurses once per nesting level, so a document nested
+# past the interpreter's recursion limit cannot be read.
+_TOO_DEEP = "state document nests too deeply to read"
 
 
 class _IntText(str):
@@ -316,8 +323,12 @@ class _IntText(str):
 def _name_long_integer(text: str) -> None:
     """Raise ``check_int_text``'s error for the first integer of a state
     document past the limit: a label by its register, as ``to_json`` names
-    it, else any integer."""
-    doc = json.loads(text, parse_int=_IntText)
+    it, else any integer.  The document may nest too deeply past that
+    integer, which the first read never reached."""
+    try:
+        doc = json.loads(text, parse_int=_IntText)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
     entries = doc.get("terms") if isinstance(doc, dict) else None
     for entry in entries if isinstance(entries, list) else ():
         labels = entry.get("labels", [entry.get("label")]) if isinstance(entry, dict) else None

@@ -476,6 +476,34 @@ def test_long_sum_exits_2_without_traceback():
     assert proc.stderr.startswith("error: term nests deeper") and "Traceback" not in proc.stderr
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# A label too long to read comes first, so the deep part is reached only
+# when the document is read again to name that label.
+LONG_LABEL_THEN_DEEP = '{"registers": 1, "terms": [{"label": ' + "9" * 5000 + '}], "x": ' + DEEP_JSON + "}"
+
+
+@pytest.mark.parametrize("route", ["file", "stdin", "long-label", "config"])
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path, route):
+    # Past the interpreter's recursion limit these once exited 1 with a
+    # RecursionError traceback.
+    doc = LONG_LABEL_THEN_DEEP if route == "long-label" else DEEP_JSON
+    path = tmp_path / "deep.json"
+    path.write_text(doc)
+    argv = {
+        "file": ["apply", "plus", str(path)],
+        "stdin": ["apply", "plus", "-"],
+        "long-label": ["apply", "plus", str(path)],
+        "config": ["verify", "logic", "--config", str(path)],
+    }[route]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qarith", *argv],
+        input=doc if route == "stdin" else "", capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "nests too deeply to read" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["enumerate", "apply"])
 def test_closed_stdout_exits_141_quietly(tmp_path, command):
     # Both outputs are far larger than a pipe buffer, so the command is

@@ -203,8 +203,14 @@ def test_role_check_matches_reference(case):
     registers, steps = case
     outcomes = [_role_outcome(reference_check_roles, registers, step) for step in steps]
     assert [_role_outcome(gates._check_roles, registers, step) for step in steps] == outcomes
-    valid = next((i for i, outcome in enumerate(outcomes) if outcome is not None), len(steps))
-    assert gates._valid_steps(registers, steps) == valid
+    bad = next((i for i, outcome in enumerate(outcomes) if outcome is not None), None)
+    try:
+        gates._check_steps(registers, steps)
+    except ProgramStepError as exc:
+        assert (exc.step_index, exc.step) == (bad, steps[bad])
+        assert (type(exc.cause), str(exc.cause)) == outcomes[bad]
+    else:
+        assert bad is None
 
 
 def test_circuit_layout_and_run():
@@ -310,7 +316,7 @@ def _outcome(run):
 @settings(derandomize=True, max_examples=400, database=None, deadline=None)
 @given(program_and_labels())
 # A strict product by 0 before bad roles, and bad roles after a good step:
-# a circuit checks its roles when built, yet the earlier step's error wins.
+# the roles are checked before any step runs, so both fail at step 1.
 @example((GateProgram((GateStep(GateKind.TIMES_STRICT, (0, 1)), GateStep(GateKind.PLUS, (0, 2)))),
           (0, 5)))
 @example((GateProgram((GateStep(GateKind.PLUS, (0, 1)), GateStep(GateKind.MINUS, (1, 1)))),
@@ -321,14 +327,17 @@ def test_basis_lane_matches_ket_route(case):
     program, labels = case
     lane, lane_error = _outcome(lambda: run_basis(program, labels))
     ket, ket_error = _outcome(lambda: run_program(program, basis_ket(*labels)))
-    # The same program as a circuit, read off each register in turn.
-    circuits = [Circuit(program, len(labels), (), r) for r in range(len(labels))]
+    # The same program as a circuit, read off each register in turn; a
+    # circuit with bad roles fails when built.
+    circuits = [
+        lambda r=r: Circuit(program, len(labels), (), r).run(labels) for r in range(len(labels))
+    ]
     if lane_error is None and ket_error is None:
         assert [key for key, _ in ket.items()] == [lane]
-        assert tuple(c.run(labels) for c in circuits) == lane
+        assert tuple(circuit() for circuit in circuits) == lane
         return
     assert lane_error is not None and ket_error is not None
-    for error in [lane_error, *(_outcome(lambda: c.run(labels))[1] for c in circuits)]:
+    for error in [lane_error, *(_outcome(circuit)[1] for circuit in circuits)]:
         assert error.step_index == ket_error.step_index
         assert type(error.cause) is type(ket_error.cause)
         assert str(error) == str(ket_error)
@@ -345,6 +354,24 @@ def test_ket_reports_its_first_failing_component():
     assert exc.value.step_index == 1
     assert isinstance(exc.value.cause, AncillaError)
     assert exc.value.cause.component == (1, 2, 7)
+
+
+def test_bad_roles_fail_before_any_step_runs():
+    # Step 0 would fail on a zero source, but step 1's roles do not fit two
+    # registers, so every route fails at step 1 before anything runs.
+    program = GateProgram((GateStep(GateKind.TIMES_STRICT, (0, 1)), GateStep(GateKind.PLUS, (0, 2))))
+    routes = [
+        lambda: run_basis(program, (0, 5)),
+        lambda: run_program(program, basis_ket(0, 5)),
+        lambda: run_program(program, Ket(2, {(0, 5): 0.6, (1, 5): 0.8})),
+        lambda: Circuit(program, 2, (), 1),
+    ]
+    for route in routes:
+        with pytest.raises(ProgramStepError) as exc:
+            route()
+        assert exc.value.step_index == 1 and exc.value.step == program.steps[1]
+        assert type(exc.value.cause) is ValueError
+        assert str(exc.value.cause) == "role 2 out of range for a 2-register state"
 
 
 def test_zero_ket_still_checks_roles():
@@ -394,13 +421,13 @@ def program_and_ket(draw):
 def test_ket_route_is_the_basis_lane_per_component(case):
     # A ket runs each component as run_basis runs its labels, and fails
     # with the error of its first component, in the ket's order, that
-    # fails; a ket with no components fails at a step with bad roles.
+    # fails; any ket, one with no components too, fails at a step with
+    # bad roles before any step runs.
     program, ket = case
     out, error = _outcome(lambda: run_program(program, ket))
     if not ket:
-        valid = gates._valid_steps(ket.registers, program.steps)
-        assert (error is None) == (valid == len(program))
-        assert out == ket if error is None else error.step_index == valid
+        _, role_error = _outcome(lambda: gates._check_steps(ket.registers, program.steps))
+        assert out == ket if role_error is None else str(error) == str(role_error)
         return
     lanes = [_outcome(lambda: run_basis(program, key)) for key, _ in ket.items()]
     failed = [lane_error for _, lane_error in lanes if lane_error is not None]

@@ -370,8 +370,8 @@ def test_circuit_checks_its_roles_once(monkeypatch):
     # A circuit sweeps its program's roles once, when built; a bare program
     # run on labels has no layout, so run_basis sweeps on every call.
     sweeps = []
-    real = gates._valid_steps
-    monkeypatch.setattr(gates, "_valid_steps", lambda *a: sweeps.append(a) or real(*a))
+    real = gates._check_steps
+    monkeypatch.setattr(gates, "_check_steps", lambda *a: sweeps.append(a) or real(*a))
     term = term_of(500)
     compile_term.cache_clear()
     circuit = compile_term(term)
