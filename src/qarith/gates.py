@@ -312,8 +312,7 @@ def run_program(program: GateProgram, state: Ket) -> Ket:
 
 
 def _check_labels(labels: tuple[int, ...]) -> None:
-    if not labels:
-        raise ValueError("need at least one register label")
+    # Fast accept: a plain int, so no bool or other subclass.
     for label in labels:
         if type(label) is not int and (not isinstance(label, int) or isinstance(label, bool)):
             raise ValueError(f"register label must be an integer, got {label!r}")
@@ -328,6 +327,8 @@ def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
     no register layout, so its roles are checked against ``len(labels)``
     on every call, before any step runs; a ``Circuit`` checks them once.
     """
+    if not labels:
+        raise ValueError("need at least one register label")
     _check_labels(labels)
     _check_steps(len(labels), program.steps)
     return _program_map(program.steps)(labels)
@@ -341,10 +342,12 @@ class Circuit:
     at ``constants``; the value is read off ``result_register`` of the
     final state.  Compiled terms and boolean connectives are circuits.
 
-    The program's roles are checked against ``registers`` once, when the
-    circuit is built, and its label map is built then too.  A circuit
-    with bad roles is not built: construction raises ``run_program``'s
-    error for the first bad step.
+    The layout and the program's roles are checked once, when the
+    circuit is built, and its label map is built then too, so a run
+    checks only its arguments.  A circuit whose result register is out
+    of range, or with a constant that is no integer or a bad role, is not
+    built; for bad roles, construction raises ``run_program``'s error for
+    the first bad step.
     """
 
     program: GateProgram
@@ -357,8 +360,12 @@ class Circuit:
     )
 
     def __post_init__(self) -> None:
+        r, registers = self.result_register, self.registers
+        if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < registers:
+            raise ValueError(f"result register {r!r} out of range for a {registers}-register circuit")
+        _check_labels(self.constants)
         steps = self.program.steps
-        _check_steps(self.registers, steps)
+        _check_steps(registers, steps)
         object.__setattr__(self, "_run", _program_map(steps))
 
     @property
@@ -376,5 +383,5 @@ class Circuit:
     def run(self, args: tuple[int, ...]) -> int:
         """The value on basis-state arguments, computed on one tuple of labels."""
         labels = self.initial_labels(args)
-        _check_labels(labels)
+        _check_labels(args)
         return self._run(labels)[self.result_register]

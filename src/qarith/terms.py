@@ -24,10 +24,11 @@ term recurses at most 13 deep.
 
 No cache holds a term past class 2.  ``term_of`` keeps a table of the
 723 terms of class <= 2 and builds every larger term fresh from it, so
-each class-3 term's children come from the table.  Each node keeps its
-own index and compiled circuit once asked for them, and its prefix text
-when it is at most 3 deep; these memos live and die with the node, so a
-class-3 sweep holds one term at a time.  The table is the only cache:
+each class-3 term's children come from the table, and ``parse_term``
+gives the table's own node for each parsed node of class <= 2.  Each
+node keeps its own index and compiled circuit once asked for them, and
+its prefix text when it is at most 3 deep; these memos live and die with
+the node, so a class-3 sweep holds one term at a time.  The table is the only cache:
 ``term_of``, ``index_of`` and ``compile_term`` count hits and misses in
 ``cache_info()``, whose currsize is the table's size, and any one's
 ``cache_clear()`` empties the table, with every memo its terms hold.
@@ -36,6 +37,7 @@ class-3 sweep holds one term at a time.  The table is the only cache:
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -129,7 +131,7 @@ Term = FreeVar | Node
 
 # Bound once: looking up an Enum member costs more than the per-node work
 # of the tree walks below.
-_SUM = BinOp.PLUS
+_SUM, _PRODUCT = BinOp.PLUS, BinOp.TIMES
 _OPS = (None, BinOp.PLUS, BinOp.TIMES)
 _ADDER, _MULTIPLIER = GateKind.PLUS, GateKind.TIMES_REVERSIBLE
 
@@ -156,28 +158,45 @@ def class_of(term: Term) -> int:
     return max(term.depth - 1, 0)
 
 
-@lru_cache(maxsize=None)
+def _check_class(k: object) -> None:
+    # Sizes run to class MAX_TERM_DEPTH, one past the deepest term's, as
+    # far as _CUMULATIVE's bounds reach.  A bool is an int too, and
+    # lru_cache would key True as 1.
+    if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= MAX_TERM_DEPTH:
+        raise ValueError(f"class must be an integer in 0..{MAX_TERM_DEPTH}, got {k!r}")
+
+
+@lru_cache(maxsize=None, typed=True)
 def class_size(k: int) -> int:
-    if k < 0:
-        raise ValueError(f"class must be non-negative, got {k}")
+    _check_class(k)
     if k == 0:
         return 3
     a, b = _region_bounds(k)
     return 2 * (a * a - b * b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cumulative_size(k: int) -> int:
-    """Number of terms of class <= k."""
+    """Number of terms of class <= k, for k up to MAX_TERM_DEPTH."""
+    _check_class(k)
     if k == 0:
         return 3
     return cumulative_size(k - 1) + class_size(k)
 
 
 def _region_bounds(k: int) -> tuple[int, int]:
-    a = cumulative_size(k - 1)
-    b = cumulative_size(k - 2) if k >= 2 else 1
+    """A and B of class k >= 1: the sizes of classes <= k - 1 and <= k - 2."""
+    a = _CUMULATIVE[k - 1]
+    b = _CUMULATIVE[k - 2] if k >= 2 else 1
     return a, b
+
+
+# The cumulative sizes of classes 0..12, the classes there are, taken once:
+# _region_bounds reads them and _build finds a class among them.  A class's
+# size needs the two before it, so the tuple grows one class at a time.
+_CUMULATIVE: tuple[int, ...] = (3,)
+while len(_CUMULATIVE) < MAX_TERM_DEPTH:
+    _CUMULATIVE += (cumulative_size(len(_CUMULATIVE)),)
 
 
 def _pair_rank(x: int, y: int, a: int, b: int) -> int:
@@ -196,10 +215,19 @@ def _pair_unrank(r: int, a: int, b: int) -> tuple[int, int]:
     return b + x, y
 
 
+def _rank(op: BinOp, x: int, y: int, k: int) -> int:
+    """Index of the class-k node applying ``op`` to the terms of indices x and y."""
+    if k == 0:
+        return int(op)
+    a, b = _region_bounds(k)
+    return a + (op - 1) * (a * a - b * b) + _pair_rank(x, y, a, b)
+
+
 # term_of's table: the terms of class <= 2, built on first use.  Every
 # class-3 term's children are among them, so a class-3 term costs one
 # node; larger terms are built fresh, and no term past class 2 is kept.
-_TABLE_SIZE = cumulative_size(2)
+_TABLE_CLASS = 2
+_TABLE_SIZE = _CUMULATIVE[_TABLE_CLASS]
 _TABLE: dict[int, Term] = {}
 
 # Deepest node that keeps its prefix text.  A class-3 term (depth 4) then
@@ -242,14 +270,8 @@ def index_of(term: Term) -> int:
         _INDICES.hits += 1
         return delta
     _INDICES.misses += 1
-    k = class_of(term)
-    if k == 0:
-        delta = int(term.op)
-    else:
-        a, b = _region_bounds(k)
-        pairs = a * a - b * b
-        rank = (int(term.op) - 1) * pairs + _pair_rank(index_of(term.left), index_of(term.right), a, b)
-        delta = cumulative_size(k - 1) + rank
+    # Only a node misses: the leaf's index is its class attribute.
+    delta = _rank(term.op, index_of(term.left), index_of(term.right), term.depth - 1)
     _set(term, "_index", delta)
     return delta
 
@@ -278,11 +300,11 @@ def _build(delta: int) -> Term:
     if delta <= 2:
         term = FREE if delta == 0 else Node(_OPS[delta], FREE, FREE)
     else:
-        k = 1
-        while cumulative_size(k) <= delta:
-            k += 1
+        k = bisect_right(_CUMULATIVE, delta)
+        if k == MAX_TERM_DEPTH:
+            raise TermDepthError(_TOO_DEEP)
         a, b = _region_bounds(k)
-        op, r = divmod(delta - cumulative_size(k - 1), a * a - b * b)
+        op, r = divmod(delta - a, a * a - b * b)
         x, y = _pair_unrank(r, a, b)
         term = Node(_OPS[op + 1], _build(x), _build(y))
     if delta < _TABLE_SIZE:
@@ -300,8 +322,6 @@ def decompose_index(delta: int) -> tuple[int, int, int] | None:
 
 def enumerate_class(k: int, limit: int | None = None) -> Iterator[tuple[int, Term]]:
     """Lazy (index, term) pairs of class k in index order, at most ``limit`` of them."""
-    if k < 0:
-        raise ValueError(f"class must be non-negative, got {k}")
     size = class_size(k)
     count = size if limit is None else max(0, min(limit, size))
     base = 0 if k == 0 else cumulative_size(k - 1)
@@ -349,96 +369,95 @@ def _infix(t: Term, names: Iterator[str]) -> str:
     return f"{_wrap(lhs, t.left)}{_wrap(rhs, t.right)}"
 
 
-# P and T are prefix operators only when a parenthesis follows; otherwise a
-# single letter is a variable leaf.
-_TOKEN = re.compile(r"\s*(?:(?P<op>[PT])\(|(?P<m0>M0)|(?P<var>x\d+|[A-Za-z])|(?P<punct>[+*(),]))")
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens: list[tuple[str, str]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise TermSyntaxError(f"bad character at position {pos}: {text[pos:]!r}")
-            if m.lastgroup == "op":
-                self.tokens.append(("op", m.group("op")))
-                self.tokens.append(("punct", "("))
-            else:
-                self.tokens.append((m.lastgroup, m.group(m.lastgroup)))  # type: ignore[arg-type]
-            pos = m.end()
-        self.pos = 0
-        self.nesting = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, punct: str | None = None) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise TermSyntaxError("unexpected end of term")
-        if punct is not None and tok != ("punct", punct):
-            raise TermSyntaxError(f"expected {punct!r}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Term:
-        term = self.sum()
-        if self.peek() is not None:
-            raise TermSyntaxError(f"trailing input from token {self.peek()[1]!r}")
-        return term
-
-    def sum(self) -> Term:
-        term = self.product()
-        while self.peek() == ("punct", "+"):
-            self.take()
-            term = Node(BinOp.PLUS, term, self.product())
-        return term
-
-    def product(self) -> Term:
-        term = self.factor()
-        while True:
-            tok = self.peek()
-            if tok == ("punct", "*"):
-                self.take()
-                term = Node(BinOp.TIMES, term, self.factor())
-            elif tok is not None and tok[1] not in ("+", ")", ","):
-                term = Node(BinOp.TIMES, term, self.factor())
-            else:
-                return term
-
-    def factor(self) -> Term:
-        kind, text = self.take()
-        if kind in ("m0", "var"):
-            # Variable names are decorative: every occurrence is a fresh leaf.
-            return FREE
-        if kind == "op" or (kind, text) == ("punct", "("):
-            self.nesting += 1
-            if self.nesting > MAX_TERM_DEPTH:
-                raise TermDepthError(_TOO_DEEP)
-            if kind == "op":
-                self.take("(")
-                left = self.sum()
-                self.take(",")
-                right = self.sum()
-                self.take(")")
-                term = Node(BinOp.PLUS if text == "P" else BinOp.TIMES, left, right)
-            else:
-                term = self.sum()
-                self.take(")")
-            self.nesting -= 1
-            return term
-        raise TermSyntaxError(f"unexpected token {text!r}")
+# One token per match: P( and T( open a prefix operation, while a P or T
+# with no parenthesis next is a variable, as any other letter is.  A
+# character that starts no token matches as the empty token.
+_TOKEN = re.compile(r"\s*(?:([PT]\(|M0|x\d+|[A-Za-z]|[+*(),])|\S)")
+_PUNCT = frozenset("+*),")
+# Tokens that end a product; the empty one marks the end of the text.
+_PRODUCT_END = frozenset(("+", ")", ",", ""))
 
 
 def parse_term(text: str) -> Term:
-    """Term from prefix or infix text, at most MAX_TERM_DEPTH deep."""
+    """Term from prefix or infix text, at most MAX_TERM_DEPTH deep.
+
+    A node of class <= 2 is the table's own node, with its memos.
+    """
     if not isinstance(text, str) or not text.strip():
         raise TermSyntaxError("empty term")
-    return _Parser(text).parse()
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:
+        pos = next(m.end() - 1 for m in _TOKEN.finditer(text) if not m.group(1))
+        raise TermSyntaxError(f"bad character at position {pos}: {text[pos:]!r}")
+    tokens.append("")
+    term, i = _sum(tokens, 0, 0)
+    if tokens[i]:
+        raise TermSyntaxError(f"trailing input from token {tokens[i]!r}")
+    return term
+
+
+# The descent: each rule takes the tokens, the position of its first token
+# and how many groups enclose it, and returns its term and the position
+# after it.
+
+
+def _sum(tokens: list[str], i: int, nesting: int) -> tuple[Term, int]:
+    term, i = _product(tokens, i, nesting)
+    while tokens[i] == "+":
+        right, i = _product(tokens, i + 1, nesting)
+        term = _node(_SUM, term, right)
+    return term, i
+
+
+def _product(tokens: list[str], i: int, nesting: int) -> tuple[Term, int]:
+    term, i = _factor(tokens, i, nesting)
+    while True:
+        if tokens[i] == "*":
+            i += 1
+        elif tokens[i] in _PRODUCT_END:
+            return term, i
+        right, i = _factor(tokens, i, nesting)
+        term = _node(_PRODUCT, term, right)
+
+
+def _factor(tokens: list[str], i: int, nesting: int) -> tuple[Term, int]:
+    tok = tokens[i]
+    if tok == "(" or tok == "P(" or tok == "T(":
+        if nesting == MAX_TERM_DEPTH:
+            raise TermDepthError(_TOO_DEEP)
+        left, i = _sum(tokens, i + 1, nesting + 1)
+        if tok == "(":
+            return left, _expect(tokens, i, ")")
+        right, i = _sum(tokens, _expect(tokens, i, ","), nesting + 1)
+        i = _expect(tokens, i, ")")
+        return _node(_SUM if tok == "P(" else _PRODUCT, left, right), i
+    if not tok:
+        raise TermSyntaxError("unexpected end of term")
+    if tok in _PUNCT:
+        raise TermSyntaxError(f"unexpected token {tok!r}")
+    # Variable names are decorative: every occurrence is a fresh leaf.
+    return FREE, i + 1
+
+
+def _expect(tokens: list[str], i: int, punct: str) -> int:
+    tok = tokens[i]
+    if tok != punct:
+        raise TermSyntaxError(f"expected {punct!r}, found {tok!r}" if tok else "unexpected end of term")
+    return i + 1
+
+
+def _node(op: BinOp, left: Term, right: Term) -> Term:
+    """A parsed node: the table's own if it is of class <= 2 and its
+    children are table nodes, else a new one."""
+    k = max(left.depth, right.depth)
+    if k <= _TABLE_CLASS:
+        delta = _rank(op, index_of(left), index_of(right), k)
+        if 0 < delta < _TABLE_SIZE:
+            term = _build(delta)
+            # The parts decide, not the index: a wrong rank makes a new node.
+            if term.op is op and term.left is left and term.right is right:
+                return term
+    return Node(op, left, right)
 
 
 # --- evaluation ------------------------------------------------------------
@@ -450,16 +469,20 @@ def evaluate_oracle(term: Term, args: tuple[int, ...]) -> int:
     if len(args) != n:
         raise ArityError(f"term takes {n} argument(s), got {len(args)}")
     for v in args:
-        if not isinstance(v, int) or isinstance(v, bool):
+        # Fast accept: a plain int, so no bool or other subclass.
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise ValueError(f"arguments must be integers, got {v!r}")
-    return _oracle(term, iter(args))
+    args = iter(args)
+    return next(args) if type(term) is FreeVar else _oracle(term, args)
 
 
-def _oracle(t: Term, args: Iterator[int]) -> int:
-    if isinstance(t, FreeVar):
-        return next(args)
-    lhs = _oracle(t.left, args)
-    rhs = _oracle(t.right, args)
+# The walks below recurse into operations only: a leaf child is read in place.
+
+
+def _oracle(t: Node, args: Iterator[int]) -> int:
+    left, right = t.left, t.right
+    lhs = next(args) if type(left) is FreeVar else _oracle(left, args)
+    rhs = next(args) if type(right) is FreeVar else _oracle(right, args)
     return lhs + rhs if t.op is _SUM else lhs * rhs
 
 
@@ -478,7 +501,7 @@ def compile_term(term: Term) -> Circuit:
     n = term.arity
     steps: list[GateStep] = []
     next_ancilla = [n]
-    result = _emit(term, 0, steps, next_ancilla)
+    result = _emit(term, 0, steps, next_ancilla) if type(term) is Node else 0
     circuit = Circuit(
         program=GateProgram(tuple(steps)),
         arity=n,
@@ -490,23 +513,28 @@ def compile_term(term: Term) -> Circuit:
     return circuit
 
 
-def _emit(t: Term, leaf: int, steps: list[GateStep], next_ancilla: list[int]) -> int:
+# GateStep's own __new__ is a Python function; tuple.__new__ builds the
+# same step without that call.
+_step = tuple.__new__
+
+
+def _emit(t: Node, leaf: int, steps: list[GateStep], next_ancilla: list[int]) -> int:
     """Append the steps computing ``t`` and return the register holding its value.
 
     The leaves of ``t`` sit in registers ``leaf`` onwards;
     ``next_ancilla[0]`` is the next unused ancilla register.
     """
-    if isinstance(t, FreeVar):
-        return leaf
-    lhs = _emit(t.left, leaf, steps, next_ancilla)
-    rhs = _emit(t.right, leaf + t.left.arity, steps, next_ancilla)
+    left, right = t.left, t.right
+    lhs = leaf if type(left) is FreeVar else _emit(left, leaf, steps, next_ancilla)
+    leaf += left.arity
+    rhs = leaf if type(right) is FreeVar else _emit(right, leaf, steps, next_ancilla)
     if t.op is _SUM:
         # Target keeps the sum; the source register stays intact.
-        steps.append(GateStep(_ADDER, (lhs, rhs)))
+        steps.append(_step(GateStep, (_ADDER, (lhs, rhs))))
         return rhs
     out = next_ancilla[0]
     next_ancilla[0] += 1
-    steps.append(GateStep(_MULTIPLIER, (lhs, rhs, out)))
+    steps.append(_step(GateStep, (_MULTIPLIER, (lhs, rhs, out))))
     return out
 
 

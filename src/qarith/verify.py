@@ -61,15 +61,20 @@ def _random_ket(
     nonzero_first: bool = False,
     zero_last: bool = False,
 ) -> Ket:
+    # Draws come in blocks: the keys still missing, then every amplitude's
+    # two parts.  A block gives the values, and leaves the generator in the
+    # state, that the same draws one key or one part at a time would.
     keys: set[tuple[int, ...]] = set()
     while len(keys) < support:
-        key = tuple(int(v) for v in rng.integers(-KET_LABELS, KET_LABELS + 1, size=registers))
-        if nonzero_first and key[0] == 0:
-            continue
-        if zero_last:
-            key = key[:-1] + (0,)
-        keys.add(key)
-    amps = {k: complex(rng.normal(), rng.normal()) for k in sorted(keys)}
+        block = rng.integers(-KET_LABELS, KET_LABELS + 1, size=(support - len(keys), registers))
+        for key in map(tuple, block.tolist()):
+            if nonzero_first and key[0] == 0:
+                continue
+            if zero_last:
+                key = key[:-1] + (0,)
+            keys.add(key)
+    parts = rng.normal(size=(support, 2)).tolist()
+    amps = {k: complex(re, im) for k, (re, im) in zip(sorted(keys), parts)}
     return Ket(registers, amps).normalized()
 
 

@@ -231,6 +231,27 @@ def test_circuit_layout_and_run():
         circuit.run((4,))
 
 
+@pytest.mark.parametrize("constant", [0.0, True, False, "0", None])
+def test_circuit_checks_its_constants_when_built(constant):
+    # A run checks only its arguments, so a bad constant never reaches one.
+    program = GateProgram((GateStep(GateKind.PLUS, (0, 1)),))
+    with pytest.raises(ValueError, match=f"^register label must be an integer, got {constant!r}$"):
+        Circuit(program, 1, (constant,), 1)
+    circuit = Circuit(program, 1, (5,), 1)
+    assert circuit.run((2,)) == 7
+    with pytest.raises(ValueError, match=f"^register label must be an integer, got {constant!r}$"):
+        circuit.run((constant,))
+
+
+@pytest.mark.parametrize("layout", [(2, (), 2), (2, (), -1), (2, (), True), (1, (0,), 1.0), (0, (), 0)])
+def test_circuit_checks_its_result_register_when_built(layout):
+    # Out of range it would fail every run, or read another register.
+    arity, constants, result = layout
+    registers = arity + len(constants)
+    with pytest.raises(ValueError, match=rf"^result register {result!r} out of range for a {registers}-register circuit$"):
+        Circuit(GateProgram(()), arity, constants, result)
+
+
 def test_roles_select_registers():
     out = apply_plus(basis_ket(1, 2, 3), (2, 0))
     assert out == basis_ket(4, 2, 3)

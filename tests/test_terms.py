@@ -69,6 +69,15 @@ def test_class_sizes_closed_form():
     assert class_size(3) == 2 * (723**2 - 19**2)
 
 
+@pytest.mark.parametrize("size", [class_size, cumulative_size], ids=["class", "cumulative"])
+@pytest.mark.parametrize("bad", [-1, 1.5, True, False, "1", MAX_TERM_DEPTH + 1])
+def test_class_sizes_refuse_what_is_no_class(size, bad):
+    # A bool is refused even after its int's size is cached.
+    size(1), size(0)
+    with pytest.raises(ValueError, match=rf"^class must be an integer in 0\.\.{MAX_TERM_DEPTH}, got "):
+        size(bad)
+
+
 def test_class_of():
     assert class_of(FREE) == 0
     assert class_of(ELEM_PLUS) == 0
@@ -302,6 +311,28 @@ def test_index_and_text_roundtrips(delta):
     assert parse_term(render_infix(term)) == term
 
 
+def test_class2_text_parses_to_the_table_node():
+    # Its index, text and circuit come with it.
+    for delta in range(cumulative_size(2)):
+        term = term_of(delta)
+        assert parse_term(render_term(term)) is term
+        assert parse_term(render_infix(term)) is term
+
+
+def test_a_wrong_rank_cannot_change_a_parse(monkeypatch):
+    # The parser finds a table node by its index, then keeps it only if its
+    # parts are the parsed ones: an index off by one gives a new node.
+    # The table's index memos fill first, so the wrong rank stays out of them.
+    table = [term_of(delta) for delta in range(cumulative_size(2))]
+    assert [index_of(term) for term in table] == list(range(len(table)))
+    real = terms._pair_rank
+    monkeypatch.setattr(terms, "_pair_rank", lambda x, y, a, b: real(x, y, a, b) + 1)
+    for term in table:
+        for render in (render_term, render_infix):
+            parsed = parse_term(render(term))
+            assert parsed == term and (parsed is term) == (class_of(term) == 0)
+
+
 @pytest.mark.parametrize("bad", ["", "  ", "P(M0", "n+", "(n", "P(M0,M0,M0)", "n)", "+n", "3"])
 def test_parse_rejects(bad):
     with pytest.raises(TermSyntaxError):
@@ -440,7 +471,7 @@ def test_cold_evaluation_leaves_no_reference_cycles():
         for term, args in cases:
             evaluate_gates(term, args).to_json()
         for term, _ in cases[:50]:
-            render_infix(term)
+            parse_term(render_infix(term))
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -425,9 +425,8 @@ FAULTS = (
     Fault(
         "check_parse_render",
         # the parser reads P( as times and T( as plus
-        _edit(terms._Parser, "factor", (
-            'BinOp.PLUS if text == "P" else BinOp.TIMES',
-            'BinOp.TIMES if text == "P" else BinOp.PLUS',
+        _edit(terms, "_factor", (
+            '_SUM if tok == "P(" else _PRODUCT', '_PRODUCT if tok == "P(" else _SUM',
         )),
         r"^prefix parse; prefix roundtrip\(1\)",
     ),
