@@ -35,7 +35,7 @@ from .config import (  # noqa: F401  (the bounds stay importable from here)
     check_samples,
     check_t_max,
 )
-from .states import PRUNE_EPS_SQ, Ket
+from .states import PRUNE_EPS_SQ, Ket, _check_labels
 
 # Duration of the coupling pulse; one pulse advances the ring by the
 # control label.
@@ -137,9 +137,7 @@ class HamiltonianModel:
         return np.zeros(self.dim)
 
     def check_window(self, n: int, m: int) -> None:
-        for label in (n, m):
-            if not isinstance(label, int) or isinstance(label, bool):
-                raise ValueError(f"register label must be an integer, got {label!r}")
+        _check_labels((n, m))
         if abs(n) + abs(m) >= self.half:
             raise WindowError(n, m, self.dim)
 

@@ -11,12 +11,11 @@ start at 0.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import add, mul, sub
 
-from .states import Ket, basis_ket
+from .states import Ket, _check_labels, basis_ket
 
 
 class GateKind(Enum):
@@ -217,7 +216,7 @@ def _check_steps(registers: int, steps: tuple[GateStep, ...]) -> None:
 _PLUS, _MINUS, _TIMES_REVERSIBLE = GateKind.PLUS, GateKind.MINUS, GateKind.TIMES_REVERSIBLE
 
 
-def _program_map(steps: tuple[GateStep, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _program_map(steps: tuple[GateStep, ...], labels: tuple[int, ...]) -> tuple[int, ...]:
     """A program's label map: one basis state's labels in, its final labels out.
 
     A basis state runs it on its one label tuple (``run_basis``,
@@ -228,34 +227,30 @@ def _program_map(steps: tuple[GateStep, ...]) -> Callable[[tuple[int, ...]], tup
     ``ProgramStepError`` with the step index; a gate error names the
     component as it stood at that step.
     """
-
-    def run(labels: tuple[int, ...]) -> tuple[int, ...]:
-        regs = list(labels)
-        i = 0
-        try:
-            for kind, roles in steps:
-                if kind is _PLUS:
-                    s, t = roles
-                    regs[t] += regs[s]
-                elif kind is _TIMES_REVERSIBLE:
-                    a, b, c = roles
-                    if regs[c] != 0:
-                        raise AncillaError(tuple(regs), c)
-                    regs[c] = regs[a] * regs[b]
-                elif kind is _MINUS:
-                    s, t = roles
-                    regs[t] -= regs[s]
-                else:
-                    s, t = roles
-                    if regs[s] == 0:
-                        raise GateDomainError(tuple(regs), (s, t))
-                    regs[t] *= regs[s]
-                i += 1
-        except ValueError as exc:
-            raise ProgramStepError(i, steps[i], exc) from exc
-        return tuple(regs)
-
-    return run
+    regs = list(labels)
+    i = 0
+    try:
+        for kind, roles in steps:
+            if kind is _PLUS:
+                s, t = roles
+                regs[t] += regs[s]
+            elif kind is _TIMES_REVERSIBLE:
+                a, b, c = roles
+                if regs[c] != 0:
+                    raise AncillaError(tuple(regs), c)
+                regs[c] = regs[a] * regs[b]
+            elif kind is _MINUS:
+                s, t = roles
+                regs[t] -= regs[s]
+            else:
+                s, t = roles
+                if regs[s] == 0:
+                    raise GateDomainError(tuple(regs), (s, t))
+                regs[t] *= regs[s]
+            i += 1
+    except ValueError as exc:
+        raise ProgramStepError(i, steps[i], exc) from exc
+    return tuple(regs)
 
 
 def _run_columns(steps: tuple[GateStep, ...], cols: list) -> bool:
@@ -305,17 +300,9 @@ def run_program(program: GateProgram, state: Ket) -> Ket:
     cols = state._columns()
     if _run_columns(steps, cols):
         return state._relabeled(cols)
-    run = _program_map(steps)
     for key, _ in state.items():
-        run(key)
+        _program_map(steps, key)
     raise RuntimeError("the column pass failed where every component's label map succeeds")
-
-
-def _check_labels(labels: tuple[int, ...]) -> None:
-    # Fast accept: a plain int, so no bool or other subclass.
-    for label in labels:
-        if type(label) is not int and (not isinstance(label, int) or isinstance(label, bool)):
-            raise ValueError(f"register label must be an integer, got {label!r}")
 
 
 def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -331,7 +318,7 @@ def run_basis(program: GateProgram, labels: tuple[int, ...]) -> tuple[int, ...]:
         raise ValueError("need at least one register label")
     _check_labels(labels)
     _check_steps(len(labels), program.steps)
-    return _program_map(program.steps)(labels)
+    return _program_map(program.steps, labels)
 
 
 @dataclass(frozen=True)
@@ -343,8 +330,8 @@ class Circuit:
     final state.  Compiled terms and boolean connectives are circuits.
 
     The layout and the program's roles are checked once, when the
-    circuit is built, and its label map is built then too, so a run
-    checks only its arguments.  A circuit whose result register is out
+    circuit is built, so a run checks only its arguments and runs the
+    program's label map on them.  A circuit whose result register is out
     of range, or with a constant that is no integer or a bad role, is not
     built; for bad roles, construction raises ``run_program``'s error for
     the first bad step.
@@ -354,19 +341,13 @@ class Circuit:
     arity: int
     constants: tuple[int, ...]
     result_register: int
-    # The program's label map, its roles checked against ``registers``.
-    _run: Callable[[tuple[int, ...]], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         r, registers = self.result_register, self.registers
         if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < registers:
             raise ValueError(f"result register {r!r} out of range for a {registers}-register circuit")
         _check_labels(self.constants)
-        steps = self.program.steps
-        _check_steps(registers, steps)
-        object.__setattr__(self, "_run", _program_map(steps))
+        _check_steps(registers, self.program.steps)
 
     @property
     def registers(self) -> int:
@@ -384,4 +365,4 @@ class Circuit:
         """The value on basis-state arguments, computed on one tuple of labels."""
         labels = self.initial_labels(args)
         _check_labels(args)
-        return self._run(labels)[self.result_register]
+        return _program_map(self.program.steps, labels)[self.result_register]

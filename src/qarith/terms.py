@@ -11,9 +11,10 @@ ordered by (operation, left child index, right child index).
 Within class k the child index pair (x, y) ranges over the L-shaped
 region [0, A) x [0, A) minus [0, B) x [0, B), where A counts terms of
 class <= k - 1 and B counts terms of class <= k - 2 (B = 1 for k = 1,
-excluding only the leaf/leaf pair, which stays elementary).  Ranking and
-unranking over that region are closed-form, so term_of runs without
-enumerating anything.
+excluding only the leaf/leaf pair, which stays elementary), so class k
+has 2(A^2 - B^2) terms, all counted in one table built at import.
+Ranking and unranking over that region are closed-form, so term_of
+runs without enumerating anything.
 
 Evaluation is dual: an exact integer recursion, and compilation to a
 gate program over basis states whose results must agree.
@@ -42,7 +43,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
 from itertools import count
 
 from .gates import ArityError, Circuit, GateKind, GateProgram, GateStep
@@ -160,28 +160,20 @@ def class_of(term: Term) -> int:
 
 def _check_class(k: object) -> None:
     # Sizes run to class MAX_TERM_DEPTH, one past the deepest term's, as
-    # far as _CUMULATIVE's bounds reach.  A bool is an int too, and
-    # lru_cache would key True as 1.
+    # far as _CUMULATIVE reaches.  A bool is an int too.
     if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k <= MAX_TERM_DEPTH:
         raise ValueError(f"class must be an integer in 0..{MAX_TERM_DEPTH}, got {k!r}")
 
 
-@lru_cache(maxsize=None, typed=True)
 def class_size(k: int) -> int:
     _check_class(k)
-    if k == 0:
-        return 3
-    a, b = _region_bounds(k)
-    return 2 * (a * a - b * b)
+    return _CUMULATIVE[k] - _CUMULATIVE[k - 1] if k else 3
 
 
-@lru_cache(maxsize=None, typed=True)
 def cumulative_size(k: int) -> int:
     """Number of terms of class <= k, for k up to MAX_TERM_DEPTH."""
     _check_class(k)
-    if k == 0:
-        return 3
-    return cumulative_size(k - 1) + class_size(k)
+    return _CUMULATIVE[k]
 
 
 def _region_bounds(k: int) -> tuple[int, int]:
@@ -191,12 +183,13 @@ def _region_bounds(k: int) -> tuple[int, int]:
     return a, b
 
 
-# The cumulative sizes of classes 0..12, the classes there are, taken once:
-# _region_bounds reads them and _build finds a class among them.  A class's
-# size needs the two before it, so the tuple grows one class at a time.
+# The cumulative sizes of classes 0..MAX_TERM_DEPTH, which the size
+# functions, _region_bounds and _build read: class k adds 2(A^2 - B^2).
 _CUMULATIVE: tuple[int, ...] = (3,)
-while len(_CUMULATIVE) < MAX_TERM_DEPTH:
-    _CUMULATIVE += (cumulative_size(len(_CUMULATIVE)),)
+while len(_CUMULATIVE) <= MAX_TERM_DEPTH:
+    _a, _b = _region_bounds(len(_CUMULATIVE))
+    _CUMULATIVE += (_a + 2 * (_a * _a - _b * _b),)
+del _a, _b
 
 
 def _pair_rank(x: int, y: int, a: int, b: int) -> int:
@@ -301,7 +294,7 @@ def _build(delta: int) -> Term:
         term = FREE if delta == 0 else Node(_OPS[delta], FREE, FREE)
     else:
         k = bisect_right(_CUMULATIVE, delta)
-        if k == MAX_TERM_DEPTH:
+        if k >= MAX_TERM_DEPTH:
             raise TermDepthError(_TOO_DEEP)
         a, b = _region_bounds(k)
         op, r = divmod(delta - a, a * a - b * b)

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qarith.dynamics import build_model
+from qarith.gates import Circuit, GateKind, GateProgram, GateStep, run_basis
 from qarith.states import Ket, basis_ket, superposition
 
 WINDOW = 64  # dense oracle covers labels -64..64
@@ -265,3 +267,24 @@ def test_sum_of_shifted_parts_never_reassembles_the_whole():
                     # both parts land on one label; amplitudes stack
                     assert parts.norm() == 2.0
                     assert parts.norm() != 1.0
+
+
+_ADD_FIVE = Circuit(GateProgram((GateStep(GateKind.PLUS, (0, 1)),)), 1, (5,), 1)
+
+
+@pytest.mark.parametrize("label", [True, 1.5, "1", None])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda x: Ket(1, {(x,): 1}),
+        lambda x: Ket.from_json(json.dumps({"registers": 1, "terms": [{"label": x, "re": 1.0}]})),
+        lambda x: run_basis(GateProgram(()), (x,)),
+        lambda x: _ADD_FIVE.run((x,)),
+        lambda x: build_model(32).check_window(x, 0),
+    ],
+    ids=["ket", "from_json", "run_basis", "circuit_run", "check_window"],
+)
+def test_every_entry_point_refuses_a_label_alike(entry, label):
+    with pytest.raises(ValueError) as info:
+        entry(label)
+    assert str(info.value) == f"register label must be an integer, got {label!r}"

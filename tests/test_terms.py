@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from qarith import gates, terms
 from qarith.gates import GateKind, GateProgram, GateStep
-from qarith.logic import eval_with_gates
+from qarith.logic import OP_NAMES, compiled_op, eval_with_gates
 from qarith.states import Ket
 from qarith.terms import (
     FREE,
@@ -67,6 +67,14 @@ ELEM_TIMES = node(T, FREE, FREE)
 def test_class_sizes_closed_form():
     # next class: 2 * (723^2 - 19^2)
     assert class_size(3) == 2 * (723**2 - 19**2)
+    # Through the last class: A and B count the terms of the classes
+    # before k and before k - 1, and B is 1 for class 1.
+    sizes = [3]
+    for k in range(1, MAX_TERM_DEPTH + 1):
+        a, b = sum(sizes), sum(sizes[:-1]) if k >= 2 else 1
+        sizes.append(2 * (a * a - b * b))
+    assert [class_size(k) for k in range(MAX_TERM_DEPTH + 1)] == sizes
+    assert [cumulative_size(k) for k in range(MAX_TERM_DEPTH + 1)] == list(itertools.accumulate(sizes))
 
 
 @pytest.mark.parametrize("size", [class_size, cumulative_size], ids=["class", "cumulative"])
@@ -217,6 +225,16 @@ def test_terms_copy_before_and_after_their_memos_fill(copier, delta):
         assert render_term(dup) == render_term(term)
         assert compile_term(dup) == compile_term(term)
         evaluate_gates(term, (2,) * term.arity).to_json()
+
+
+@pytest.mark.parametrize("name", ["term 13", *OP_NAMES])
+def test_circuits_pickle(name):
+    circuit = compile_term(term_of(13)) if name == "term 13" else compiled_op(name)
+    back = _pickled(circuit)
+    assert back is not circuit and back == circuit and hash(back) == hash(circuit)
+    assert repr(back) == repr(circuit)
+    args = (2, 3, 4)[: circuit.arity]
+    assert back.run(args) == circuit.run(args)
 
 
 def test_cache_clear_drops_what_tabled_terms_keep():
@@ -520,8 +538,10 @@ def test_term_of_covers_every_term_and_no_more():
     # MAX_TERM_DEPTH deep; the next one would be deeper.
     bound = cumulative_size(MAX_TERM_DEPTH - 1)
     assert term_of(bound - 1).depth == MAX_TERM_DEPTH
-    with pytest.raises(TermDepthError):
-        term_of(bound)
+    # Class 13 and past it: too deep, not an index past the size table.
+    for delta in (bound, cumulative_size(MAX_TERM_DEPTH) - 1, cumulative_size(MAX_TERM_DEPTH)):
+        with pytest.raises(TermDepthError):
+            term_of(delta)
     with pytest.raises(TermDepthError):
         next(enumerate_class(MAX_TERM_DEPTH))
     # The largest terms there are: every index prints under the default
