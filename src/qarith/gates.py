@@ -285,8 +285,9 @@ def _run_columns(steps: tuple[GateStep, ...], cols: list) -> bool:
 def run_program(program: GateProgram, state: Ket) -> Ket:
     """Run a program on a ket: one pass over whole register columns per step.
 
-    The result carries its columns, so a chain of programs transposes the
-    first ket's labels once.
+    The result carries its columns and amplitudes, so a chain of programs
+    transposes the first ket's labels once and builds a label dict only
+    for a result that is read (``Ket._amps``).
 
     The roles are checked against the ket's register count on every
     call, before any step runs.  A program whose gate fails reports the

@@ -3,14 +3,17 @@
 A ket is a finite-support map from register label tuples to complex
 amplitudes.  Labels are plain Python integers, so label arithmetic never
 wraps or overflows.  All operations return new kets; instances never
-mutate after construction, except that a ket may fill in its column memo
-(``Ket._columns``) on first use.  The memo is derived from the components
-and never changes them.
+mutate after construction, except that a ket may fill in two memos on
+first use: its columns (``Ket._columns``), and, for a gate program's
+result, which holds only columns and amplitudes, its label -> amplitude
+dict (``Ket._amps``).  Each memo is derived from the components and never
+changes them.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import json
 import math
 import sys
@@ -79,18 +82,20 @@ def _as_key(key: int | tuple[int, ...]) -> tuple[int, ...]:
 class Ket:
     """Finite superposition over one or more integer registers.
 
-    ``amps`` maps label tuples (one label per register) to amplitudes.
-    Near-zero components are pruned; the empty map is the zero vector.
+    ``amps`` maps label tuples (one label per register) to amplitudes; a
+    bare label stands for its 1-tuple, and two keys naming one label raise
+    ValueError.  Near-zero components are pruned; the empty map is the
+    zero vector.
     """
 
-    __slots__ = ("_registers", "_amps", "_cols")
+    __slots__ = ("_registers", "_dict", "_vals", "_cols")
 
     def __init__(self, registers: int, amps: Mapping[tuple[int, ...], complex] | None = None):
         if not isinstance(registers, int) or isinstance(registers, bool) or registers < 1:
             raise ValueError(f"register count must be a positive integer, got {registers!r}")
         clean: dict[tuple[int, ...], complex] = {}
-        for key, amp in (amps or {}).items():
-            key = _as_key(key)
+        for raw, amp in (amps or {}).items():
+            key = raw if isinstance(raw, tuple) else (raw,)
             if len(key) != registers:
                 raise ValueError(f"label tuple {key!r} does not match {registers} register(s)")
             # _check_labels' rule, inline: a call per key builds a 1,024-label
@@ -98,6 +103,10 @@ class Ket:
             for label in key:
                 if type(label) is not int and (not isinstance(label, int) or isinstance(label, bool)):
                     raise ValueError(f"register label must be an integer, got {label!r}")
+            # Only a bare label can name the label of another key, its
+            # 1-tuple; checked before pruning, so no amplitude is dropped.
+            if key is not raw and key in amps:
+                raise ValueError(f"duplicate basis label {key!r}")
             try:
                 amp = complex(amp)
             except OverflowError:
@@ -107,8 +116,29 @@ class Ket:
             if amp.real * amp.real + amp.imag * amp.imag >= PRUNE_EPS_SQ:
                 clean[key] = amp
         self._registers = registers
-        self._amps = clean
+        self._dict = clean
+        self._vals = None
         self._cols = None
+
+    @property
+    def _amps(self) -> dict[tuple[int, ...], complex]:
+        """The components as a label -> amplitude dict.
+
+        A gate program's result is built from columns and amplitudes alone
+        (``_relabeled``); its first read builds the dict and keeps it.  That
+        is where new labels that send two components to one label, which no
+        gate's do, raise ``RuntimeError`` rather than merge their amplitudes,
+        so no read ever sees a merged ket.
+        """
+        amps = self._dict
+        if amps is None:
+            amps = dict(zip(zip(*self._cols), self._vals))
+            if len(amps) != len(self._vals):
+                raise RuntimeError(
+                    f"label map sent {len(self._vals)} components to {len(amps)} labels"
+                )
+            self._dict = amps
+        return amps
 
     def _columns(self) -> list[tuple[int, ...]]:
         """The labels as one column per register, each in the ket's order.
@@ -116,8 +146,9 @@ class Ket:
         A program's result carries the columns its pass computed
         (``_relabeled``); any other ket transposes its labels on first use
         and keeps them.  So a chain of programs, or several programs on one
-        ket, transposes once.  Columns are tuples shared between kets; the
-        outer list is a fresh copy, so a caller may rebind its entries.
+        ket, transposes once, and reads no result's dict.  Columns are
+        tuples shared between kets; the outer list is a fresh copy, so a
+        caller may rebind its entries.
         """
         cols = self._cols
         if cols is None:
@@ -131,21 +162,19 @@ class Ket:
         ``cols`` must be a gate program's columns, one per register, each in
         the ket's order (``gates.run_program``, ``gates.repeat_plus``).
         Skipping validation is sound for those: each new label is an int
-        computed from already-validated ints; the amplitudes are the same
-        finite, unpruned complex objects; and the dict is new, so no other
-        ket shares it.  New labels that send two components to one label
-        are no gate's: they raise ``RuntimeError`` rather than merge their
-        amplitudes.  The result keeps ``cols`` as its column memo, so the
-        next program on it does not transpose its labels again.
+        computed from already-validated ints, and the amplitudes are the
+        same finite, unpruned complex objects.  The result holds ``cols``
+        and the amplitudes in the same order, a tuple shared along a chain
+        of programs, and no dict until it is read (``_amps``), so a chain
+        builds none for its intermediate kets.
         """
-        amps = dict(zip(zip(*cols), self._amps.values()))
-        if len(amps) != len(self._amps):
-            raise RuntimeError(
-                f"label map sent {len(self._amps)} components to {len(amps)} labels"
-            )
+        vals = self._vals
+        if vals is None:
+            vals = tuple(self._dict.values())
         out = object.__new__(Ket)
         out._registers = self._registers
-        out._amps = amps
+        out._dict = None
+        out._vals = vals
         out._cols = tuple(cols)
         return out
 
@@ -177,7 +206,8 @@ class Ket:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {a:.6g}" for k, a in self.sorted_items()[:4])
+        first = heapq.nsmallest(4, self._amps.items(), key=lambda kv: kv[0])
+        body = ", ".join(f"{k}: {a:.6g}" for k, a in first)
         tail = ", ..." if len(self) > 4 else ""
         return f"Ket(registers={self._registers}, {{{body}{tail}}})"
 
@@ -356,5 +386,4 @@ def superposition(terms: Mapping[int | tuple[int, ...], complex]) -> Ket:
     """Ket from a label -> amplitude map; register count inferred from keys."""
     if not terms:
         raise ValueError("empty superposition is ambiguous; construct Ket directly")
-    keys = [_as_key(k) for k in terms]
-    return Ket(len(keys[0]), dict(zip(keys, terms.values())))
+    return Ket(len(_as_key(next(iter(terms)))), terms)

@@ -5,6 +5,9 @@ kets, and the program runner on kets and on label tuples.
 The label window, norm, linearity and inverse properties are checks of
 ``qarith verify gates``, asserted by tests/test_verify.py."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -532,22 +535,46 @@ def test_relabeled_ket_matches_public_constructor(case):
 def test_non_injective_label_map_raises(monkeypatch):
     # Gates never merge components; columns that would are refused, also
     # under python -O, and also on kets whose columns are memoized: an
-    # input that ran a program and a program's result.
+    # input that ran a program and a program's result.  A result builds
+    # its dict when first read, so the refusal comes there, from every
+    # reader: no read ever returns merged components.
     def collapse(steps, cols):
         cols[:] = [(0,) * len(col) for col in cols]
         return True
 
+    readers = (
+        lambda k: list(k.items()),
+        lambda k: k.amplitude((0, 0)),
+        len,
+        lambda k: k == basis_ket(0, 0),
+        lambda k: basis_ket(0, 0) == k,
+        lambda k: k.inner(basis_ket(0, 0)),
+        lambda k: k.tensor(basis_ket(0)),
+        lambda k: k.to_json(),
+        lambda k: k.norm(),
+    )
     state = superposition({(1, 2): 0.6, (3, 4): 0.8})
     out = apply_plus(state)
     assert state._cols is not None and out._cols is not None
-    monkeypatch.setattr(gates, "_run_columns", collapse)
-    for ket in (state, out):
-        before = list(ket.items())
-        with pytest.raises(RuntimeError, match="2 components to 1 labels"):
-            apply_plus(ket)
-        assert list(ket.items()) == before
-    with pytest.raises(RuntimeError, match="2 components to 1 labels"):
-        apply_plus(superposition({(1, 2): 0.6, (3, 4): 0.8}))
+    merged = []
+    with monkeypatch.context() as patch:
+        patch.setattr(gates, "_run_columns", collapse)
+        for ket in (state, out, superposition({(1, 2): 0.6, (3, 4): 0.8})):
+            before = list(ket.items())
+            merged.append(apply_plus(ket))
+            assert list(ket.items()) == before
+    # Each gate sends equal labels to equal labels, so a program run on a
+    # colliding result, by the real column pass, collides too.
+    merged.append(apply_plus(merged[0]))
+    merged.append(run_program(GateProgram((GateStep(GateKind.MINUS, (1, 0)),)), merged[1]))
+    for ket in merged:
+        for read in readers:
+            with pytest.raises(RuntimeError, match="^label map sent 2 components to 1 labels$"):
+                read(ket)
+        # a refused read keeps nothing, so the next one is refused too
+        assert ket._dict is None
+    assert list(state.items()) == [((1, 2), 0.6), ((3, 4), 0.8)]
+    assert list(out.items()) == [((1, 3), 0.6), ((3, 7), 0.8)]
 
 
 def test_column_pass_failing_where_no_component_does_raises(monkeypatch):
@@ -592,6 +619,53 @@ def test_iterate_plus_transposes_once(monkeypatch):
     out = iterate_plus(state, 20)
     assert len(transposed) == 1 and transposed[0] is state
     assert list(out.items()) == [((1, 22), 0.6), ((3, 64), 0.8)]
+
+
+# wide_kets' chain: (a, b, 0) -> (2a+b, a+b, 0) -> (a, b, 0) -> (a, b, ab)
+_FORWARD = GateProgram((GateStep(GateKind.PLUS, (0, 1)), GateStep(GateKind.PLUS, (1, 0))))
+_INVERSE = GateProgram((GateStep(GateKind.MINUS, (1, 0)), GateStep(GateKind.MINUS, (0, 1))))
+_TIMES = GateProgram((GateStep(GateKind.TIMES_REVERSIBLE, (0, 1, 2)),))
+
+
+def test_program_chain_builds_one_dict_when_read(monkeypatch):
+    # A result holds columns and amplitudes; only a read builds its dict.
+    # So a chain of three programs builds one, for the final ket, when
+    # that ket is read, and none for the kets in between.
+    built = []
+    amps = Ket.__dict__["_amps"]
+
+    def spy(self):
+        if self._dict is None:
+            built.append(self)
+        return amps.fget(self)
+
+    monkeypatch.setattr(Ket, "_amps", property(spy))
+    state = Ket(3, {(1, 2, 0): 0.6, (-3, 4, 0): 0.8})
+    a = run_program(_FORWARD, state)
+    b = run_program(_INVERSE, a)
+    c = run_program(_TIMES, b)
+    assert built == []
+    assert list(c.items()) == [((1, 2, 2), 0.6), ((-3, 4, -12), 0.8)]
+    assert len(built) == 1 and built[0] is c
+    assert len(c) == 2 and c.norm() == pytest.approx(1.0)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("copy_of", [lambda k: pickle.loads(pickle.dumps(k)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_program_result_copies_before_and_after_its_first_read(copy_of):
+    state = superposition({(1, 2, 0): 0.6, (-3, 4, 0): 0.8j})
+    want = [((1, 2, 2), 0.6), ((-3, 4, -12), 0.8j)]
+    out = run_program(_TIMES, run_program(_INVERSE, run_program(_FORWARD, state)))
+    unread = copy_of(out)
+    assert unread._dict is None and out._dict is None
+    assert list(unread.items()) == want
+    assert unread == out
+    read = copy_of(out)
+    assert read._dict is not None
+    assert list(read.items()) == want and read == out
+    # a copy runs programs as the original does
+    assert run_program(_FORWARD, unread) == run_program(_FORWARD, out)
 
 
 @st.composite

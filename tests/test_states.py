@@ -134,6 +134,38 @@ def test_construction_validation():
         basis_ket(1).inner(3)  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize(
+    "amps",
+    [
+        {3: 0.6, (3,): 0.8},
+        {(3,): 0.8, 3: 0.6},
+        # a pruned amplitude still names its label
+        {3: 0.0, (3,): 0.8},
+        {(3,): 0.8, 3: 1e-17},
+    ],
+)
+def test_two_keys_naming_one_label_are_refused(amps):
+    # A bare label and its 1-tuple name one basis state; keeping either
+    # amplitude would drop the other, so both routes refuse the map as
+    # from_json refuses a repeated label.
+    for build in (lambda: Ket(1, amps), lambda: superposition(amps)):
+        with pytest.raises(ValueError, match=r"^duplicate basis label \(3,\)$"):
+            build()
+    doc = {"registers": 1, "terms": [{"label": 3, "re": 0.6}, {"label": 3, "re": 0.8}]}
+    with pytest.raises(ValueError, match=r"^duplicate basis label \(3,\)$"):
+        Ket.from_json(json.dumps(doc))
+    # bare labels of their own are no duplicates
+    assert Ket(1, {3: 0.6, (4,): 0.8}) == superposition({(3,): 0.6, 4: 0.8})
+
+
+def test_repr_shows_the_four_lowest_labels():
+    ket = superposition({5: 1, -3: 0.5j, 9: 2, 1: -1, 7: 1, 0: 1e-3})
+    assert repr(ket) == "Ket(registers=1, {(-3,): 0+0.5j, (0,): 0.001+0j, (1,): -1+0j, (5,): 1+0j, ...})"
+    pairs = Ket(2, {(2, 1): 1, (1, 9): 1, (1, -2): 1, (0, 5): 1, (3, 3): 1})
+    assert repr(pairs) == "Ket(registers=2, {(0, 5): 1+0j, (1, -2): 1+0j, (1, 9): 1+0j, (2, 1): 1+0j, ...})"
+    assert repr(superposition({5: 1, -3: 0.5j})) == "Ket(registers=1, {(-3,): 0+0.5j, (5,): 1+0j})"
+
+
 def test_labels_never_wrap():
     big = 10**30
     ket = basis_ket(big)

@@ -315,7 +315,7 @@ FAULTS = (
     Fault(
         "check_gate_norm_linearity",
         # every gate renormalizes its output
-        _edit(Ket, "_relabeled", ("return out", "return out.normalized() if amps else out")),
+        _edit(Ket, "_relabeled", ("return out", "return out.normalized() if out._vals else out")),
         r"worst norm drift \S+, worst linearity residual [1-9]\.\d\de\+00$",
     ),
     Fault(
