@@ -1,10 +1,10 @@
 """Runtime configuration shared by ``evolve`` and ``verify``, and its bounds.
 
-Every bound on a dynamics knob (ring size, integrator step, threshold,
-horizon, grid size) and the ring-window error live here, not in
-``dynamics``, which imports them back.  This module needs no numpy, so
-the commands that never propagate a state (``apply``, ``eval``,
-``show``, ``enumerate``, ``truth-table``) start without loading it.
+Every bound on a knob (ring size, integrator step, threshold, horizon,
+grid size, term class bound) and the ring-window error live here, not
+in ``dynamics`` or ``terms``, which import them back.  This module
+imports no other qarith module, so reading a bound loads no layer and
+no numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
-from .terms import check_class_bound
-
 MIN_DIM = 8
 # Largest ring.  One RK4 call costs O(D^2 log steps), with steps growing
 # as D at the window edge: about 15 ms at D = 1024 on a 2-vCPU machine.
@@ -26,6 +24,9 @@ MAX_DIM = 1024
 MIN_DT = 1e-9
 MAX_DT = 0.01
 MAX_SAMPLES = 100_000
+# Class sizes explode combinatorially (class 4 has ~2e12 terms), so
+# exhaustive sweeps stop at class 3.
+MAX_CLASS_BOUND = 3
 
 # The verification suites, in the order ``verify all`` runs them.
 SUITE_NAMES = (
@@ -78,6 +79,12 @@ def check_t_max(t_max: object) -> None:
     value = check_number(t_max, "t_max")
     if not (value > 0.0) or not math.isfinite(value):
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+
+
+def check_class_bound(bound: object) -> None:
+    """Class bound for exhaustive sweeps, in 0..MAX_CLASS_BOUND."""
+    if not isinstance(bound, int) or isinstance(bound, bool) or not (0 <= bound <= MAX_CLASS_BOUND):
+        raise ValueError(f"class bound must be in 0..{MAX_CLASS_BOUND}, got {bound!r}")
 
 
 class WindowError(ValueError):

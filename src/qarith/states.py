@@ -79,6 +79,11 @@ def _as_key(key: int | tuple[int, ...]) -> tuple[int, ...]:
     return (key,)
 
 
+def _check_ket(other: object) -> None:
+    if not isinstance(other, Ket):
+        raise TypeError(f"expected a Ket, got {type(other).__name__}")
+
+
 class Ket:
     """Finite superposition over one or more integer registers.
 
@@ -221,6 +226,11 @@ class Ket:
         n = self.norm()
         if n == 0.0:
             raise ZeroNormError("cannot normalize the zero vector")
+        if n == math.inf:
+            # A square past about 1.3e154 overflows: bring the largest
+            # part to 1 first, dividing exactly, then normalize that.
+            big = max(max(abs(a.real), abs(a.imag)) for a in self._amps.values())
+            return Ket(self._registers, {k: a / big for k, a in self._amps.items()}).normalized()
         return self.scaled(1.0 / n)
 
     def scaled(self, factor: complex) -> Ket:
@@ -257,6 +267,7 @@ class Ket:
 
     def tensor(self, other: Ket) -> Ket:
         """Product ket; the register tuples concatenate."""
+        _check_ket(other)
         out: dict[tuple[int, ...], complex] = {}
         for ka, aa in self._amps.items():
             for kb, ab in other._amps.items():
@@ -264,8 +275,7 @@ class Ket:
         return Ket(self._registers + other._registers, out)
 
     def _check_compatible(self, other: Ket) -> None:
-        if not isinstance(other, Ket):
-            raise TypeError(f"expected a Ket, got {type(other).__name__}")
+        _check_ket(other)
         if self._registers != other._registers:
             raise ValueError(
                 f"register counts differ: {self._registers} vs {other._registers}"

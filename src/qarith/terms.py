@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import count
 
+from .config import MAX_CLASS_BOUND, check_class_bound  # noqa: F401  (the class bound stays importable from here)
 from .gates import ArityError, Circuit, GateKind, GateProgram, GateStep
 
 
@@ -136,17 +137,6 @@ _OPS = (None, BinOp.PLUS, BinOp.TIMES)
 _ADDER, _MULTIPLIER = GateKind.PLUS, GateKind.TIMES_REVERSIBLE
 
 FREE = FreeVar()
-
-
-# Class sizes explode combinatorially (class 4 has ~2e12 terms), so
-# exhaustive sweeps stop at class 3.
-MAX_CLASS_BOUND = 3
-
-
-def check_class_bound(bound: object) -> None:
-    """Class bound for exhaustive sweeps, in 0..MAX_CLASS_BOUND."""
-    if not isinstance(bound, int) or isinstance(bound, bool) or not (0 <= bound <= MAX_CLASS_BOUND):
-        raise ValueError(f"class bound must be in 0..{MAX_CLASS_BOUND}, got {bound!r}")
 
 
 def arity(term: Term) -> int:

@@ -1,4 +1,5 @@
-"""Import graph: numpy loads only in the commands that propagate a state.
+"""Import graph: the package root loads no layer, a name read from it
+loads its own, and numpy loads only in the commands that propagate a state.
 
 Each case runs in a fresh interpreter, since a module once imported stays
 in ``sys.modules`` for the rest of the process.
@@ -74,13 +75,45 @@ def test_cli_loads_numpy_only_to_propagate(argv, stdin, numpy_loaded, code):
     assert proc.stderr.splitlines()[-1] == f"{numpy_loaded} {code}"
 
 
+@pytest.mark.parametrize(
+    "statement,loaded",
+    [
+        ("import qarith", []),
+        ("import qarith.config", ["config"]),
+        ("from qarith import gates, states", ["gates", "states"]),
+        ("from qarith import dynamics", ["config", "dynamics", "states"]),
+        ("from qarith import Ket", ["states"]),
+    ],
+)
+def test_import_loads_only_its_layers(statement, loaded):
+    # The package root loads no layer; a layer loads what it imports.
+    script = f"""
+import sys
+{statement}
+print(sorted(name for name in sys.modules if name.startswith("qarith.")))
+"""
+    proc = run_python("-c", script)
+    assert proc.stdout == f"{[f'qarith.{name}' for name in loaded]}\n"
+
+
 def test_package_root_resolves_every_name():
     script = """
+import inspect
 import sys
 import qarith
 print("numpy" in sys.modules)
 print([name for name in qarith.__all__ if name not in dir(qarith)])
 values = {name: getattr(qarith, name) for name in qarith.__all__}
+# Each name is its defining module's own object, and a class or function
+# names that module as its home.
+print([
+    name
+    for module, names in qarith._EXPORTS.items()
+    for name in names
+    if values[name] is not getattr(sys.modules[f"qarith.{module}"], name)
+    or (inspect.isclass(values[name]) or inspect.isfunction(values[name]))
+    and values[name].__module__ != f"qarith.{module}"
+])
 import qarith.config
 print(qarith.WindowError is qarith.dynamics.WindowError is qarith.config.WindowError)
 print(values["build_model"] is qarith.dynamics.build_model)
@@ -93,5 +126,5 @@ except AttributeError as exc:
     proc = run_python("-c", script)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == [
-        "False", "[]", "True", "True", "True", "module 'qarith' has no attribute 'no_such_name'",
+        "False", "[]", "[]", "True", "True", "True", "module 'qarith' has no attribute 'no_such_name'",
     ]

@@ -97,6 +97,24 @@ def test_normalized():
     assert unit.amplitude(4) == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize(
+    "amps,support",
+    [
+        ({(0,): 1e200, (1,): 1e200}, {(0,), (1,)}),
+        ({(0,): 1e300, (1,): -1e300j}, {(0,), (1,)}),
+        ({(0,): 1.5e308, (1,): 1.5e308}, {(0,), (1,)}),
+        # beside 1e200, the amplitude 1.0 is pruned: the result is |0>
+        ({(0,): 1e200, (1,): 1.0}, {(0,)}),
+    ],
+)
+def test_normalized_survives_an_overflowing_norm(amps, support):
+    ket = Ket(1, amps)
+    assert ket.norm() == math.inf
+    unit = ket.normalized()
+    assert abs(unit.norm() - 1.0) <= 1e-15
+    assert unit.support() == support
+
+
 def test_pruning_threshold():
     mixed = Ket(1, {(0,): 1.0, (1,): 1e-17})
     assert mixed.support() == {(0,)}
@@ -132,6 +150,10 @@ def test_construction_validation():
         basis_ket(1).inner(basis_ket(1, 2))
     with pytest.raises(TypeError):
         basis_ket(1).inner(3)  # type: ignore[arg-type]
+    with pytest.raises(TypeError, match="expected a Ket, got int"):
+        basis_ket(1).tensor(5)  # type: ignore[arg-type]
+    # a tensor product joins kets of any register counts
+    assert basis_ket(1).tensor(basis_ket(2, 3)) == basis_ket(1, 2, 3)
 
 
 @pytest.mark.parametrize(
