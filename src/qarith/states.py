@@ -17,7 +17,7 @@ import heapq
 import json
 import math
 import sys
-from collections.abc import Iterator, Mapping
+from collections.abc import Collection, Iterator, Mapping
 
 # Components with squared magnitude below this are dropped at construction.
 PRUNE_EPS_SQ = 1e-30
@@ -82,6 +82,17 @@ def _as_key(key: int | tuple[int, ...]) -> tuple[int, ...]:
 def _check_ket(other: object) -> None:
     if not isinstance(other, Ket):
         raise TypeError(f"expected a Ket, got {type(other).__name__}")
+
+
+def _rescaled(s: float, values: Collection[complex]) -> tuple[float, float]:
+    """(scale, sum) with scale**2 * sum the squared norm of ``values``,
+    given ``s``, their plain sum of squares: (1, s) unless s overflowed.
+    Then each part is first divided, exactly, by the largest one, so only
+    a norm past the float range overflows."""
+    if s != math.inf:
+        return 1.0, s
+    big = max(max(abs(v.real), abs(v.imag)) for v in values)
+    return big, sum((v.real / big) ** 2 + (v.imag / big) ** 2 for v in values)
 
 
 class Ket:
@@ -217,21 +228,23 @@ class Ket:
         return f"Ket(registers={self._registers}, {{{body}{tail}}})"
 
     def norm_sq(self) -> float:
+        """Sum of the squared magnitudes: inf when that overflows a float,
+        as it does past an amplitude of about 1.3e154, though ``norm()``
+        may still be finite."""
         return sum(a.real * a.real + a.imag * a.imag for a in self._amps.values())
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        scale, s = _rescaled(self.norm_sq(), self._amps.values())
+        return scale * math.sqrt(s)
 
     def normalized(self) -> Ket:
-        n = self.norm()
-        if n == 0.0:
+        scale, s = _rescaled(self.norm_sq(), self._amps.values())
+        if s == 0.0:
             raise ZeroNormError("cannot normalize the zero vector")
-        if n == math.inf:
-            # A square past about 1.3e154 overflows: bring the largest
-            # part to 1 first, dividing exactly, then normalize that.
-            big = max(max(abs(a.real), abs(a.imag)) for a in self._amps.values())
-            return Ket(self._registers, {k: a / big for k, a in self._amps.items()}).normalized()
-        return self.scaled(1.0 / n)
+        unit = self
+        if scale != 1.0:
+            unit = Ket(self._registers, {k: a / scale for k, a in self._amps.items()})
+        return unit.scaled(1.0 / math.sqrt(s))
 
     def scaled(self, factor: complex) -> Ket:
         return Ket(self._registers, {k: factor * a for k, a in self._amps.items()})
@@ -261,9 +274,13 @@ class Ket:
     def distance(self, other: Ket) -> float:
         self._check_compatible(other)
         keys = set(self._amps) | set(other._amps)
-        return math.sqrt(
-            sum(abs(self._amps.get(k, 0j) - other._amps.get(k, 0j)) ** 2 for k in keys)
-        )
+        diffs = [self._amps.get(k, 0j) - other._amps.get(k, 0j) for k in keys]
+        try:
+            s = sum(abs(d) ** 2 for d in diffs)
+        except OverflowError:  # a float's ** raises where its * gives inf
+            s = math.inf
+        scale, s = _rescaled(s, diffs)
+        return scale * math.sqrt(s)
 
     def tensor(self, other: Ket) -> Ket:
         """Product ket; the register tuples concatenate."""

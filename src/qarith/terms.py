@@ -29,17 +29,15 @@ each class-3 term's children come from the table, and ``parse_term``
 gives the table's own node for each parsed node of class <= 2.  Each
 node keeps its own index and compiled circuit once asked for them, and
 its prefix text when it is at most 3 deep; these memos live and die with
-the node, so a class-3 sweep holds one term at a time.  The table is the only cache:
-``term_of``, ``index_of`` and ``compile_term`` count hits and misses in
-``cache_info()``, whose currsize is the table's size, and any one's
-``cache_clear()`` empties the table, with every memo its terms hold.
+the node, so a class-3 sweep holds one term at a time.  The table is the
+only cache, bounded at 723 terms, and keeps no statistics; emptying it
+drops the tabled terms with every memo they hold.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -218,42 +216,12 @@ _TABLE: dict[int, Term] = {}
 # never longer than a class-2 term's.
 _TEXT_DEPTH = 3
 
-# The fields of functools' CacheInfo, which the tests and perfbench read.
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-class _Memo:
-    """Hit and miss counts of one of ``term_of``, ``index_of`` and
-    ``compile_term``, with ``lru_cache``'s controls over them.
-
-    The table is the only cache: its size is every function's currsize,
-    and any function's ``clear`` empties it, so the tabled terms and every
-    memo they hold go together.
-    """
-
-    __slots__ = ("hits", "misses")
-
-    def __init__(self):
-        self.hits = self.misses = 0
-
-    def info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, _TABLE_SIZE, len(_TABLE))
-
-    def clear(self) -> None:
-        self.hits = self.misses = 0
-        _TABLE.clear()
-
-
-_TERMS, _INDICES, _CIRCUITS = _Memo(), _Memo(), _Memo()
-
 
 def index_of(term: Term) -> int:
     delta = term._index
     if delta is not None:
-        _INDICES.hits += 1
         return delta
-    _INDICES.misses += 1
-    # Only a node misses: the leaf's index is its class attribute.
+    # Only a node gets here: the leaf's index is its class attribute.
     delta = _rank(term.op, index_of(term.left), index_of(term.right), term.depth - 1)
     _set(term, "_index", delta)
     return delta
@@ -266,11 +234,9 @@ def term_of(delta: int) -> Term:
     # int too, and True would find the entry of 1.
     term = _TABLE.get(delta) if type(delta) is int else None
     if term is not None:
-        _TERMS.hits += 1
         return term
     if not isinstance(delta, int) or isinstance(delta, bool) or delta < 0:
         raise ValueError(f"index must be a non-negative integer, got {delta!r}")
-    _TERMS.misses += 1
     return _build(int(delta))
 
 
@@ -478,9 +444,7 @@ def compile_term(term: Term) -> Circuit:
     """
     circuit = term._circuit
     if circuit is not None:
-        _CIRCUITS.hits += 1
         return circuit
-    _CIRCUITS.misses += 1
     n = term.arity
     steps: list[GateStep] = []
     next_ancilla = [n]
@@ -519,11 +483,6 @@ def _emit(t: Node, leaf: int, steps: list[GateStep], next_ancilla: list[int]) ->
     next_ancilla[0] += 1
     steps.append(_step(GateStep, (_MULTIPLIER, (lhs, rhs, out))))
     return out
-
-
-term_of.cache_info, term_of.cache_clear = _TERMS.info, _TERMS.clear
-index_of.cache_info, index_of.cache_clear = _INDICES.info, _INDICES.clear
-compile_term.cache_info, compile_term.cache_clear = _CIRCUITS.info, _CIRCUITS.clear
 
 
 @dataclass(frozen=True, slots=True)

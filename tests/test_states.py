@@ -108,8 +108,19 @@ def test_normalized():
     ],
 )
 def test_normalized_survives_an_overflowing_norm(amps, support):
+    # Each ket's squared norm overflows; its norm and its distance to |0>
+    # overflow only past the float range, as the 1.5e308 pair's do.
     ket = Ket(1, amps)
-    assert ket.norm() == math.inf
+    assert ket.norm_sq() == math.inf
+
+    def hypot(values):
+        return math.hypot(*(part for v in values for part in (v.real, v.imag)))
+
+    parts = [complex(a) for a in amps.values()]
+    assert ket.norm() == pytest.approx(hypot(parts), rel=1e-15)
+    to_zero = [parts[0] - 1, *parts[1:]]
+    assert ket.distance(basis_ket(0)) == pytest.approx(hypot(to_zero), rel=1e-15)
+    assert (ket.norm() == math.inf) == (amps[(0,)] == 1.5e308)
     unit = ket.normalized()
     assert abs(unit.norm() - 1.0) <= 1e-15
     assert unit.support() == support

@@ -174,11 +174,11 @@ def test_enumerate_class0():
 def test_enumerate_class_is_lazy():
     # Three pairs of a 100,000-term class-12 listing build those three
     # terms and their sub-terms, not the whole listing first.
-    before = term_of.cache_info().currsize
+    before = len(terms._TABLE)
     pairs = list(itertools.islice(enumerate_class(12, 100_000), 3))
     assert [delta for delta, _ in pairs] == [cumulative_size(11) + r for r in range(3)]
     assert all(class_of(term) == 12 for _, term in pairs)
-    assert term_of.cache_info().currsize - before < 100
+    assert len(terms._TABLE) - before < 100
 
 
 def test_roundtrip_via_structure():
@@ -238,29 +238,24 @@ def test_circuits_pickle(name):
 
 
 def test_cache_clear_drops_what_tabled_terms_keep():
-    # The table is the only cache: any one of the three cache_clear()
-    # calls empties it, and the tabled terms' memos go with them.
-    cached = (term_of, index_of, compile_term)
-    for clearing in cached:
-        term = term_of(500)
-        ones = (1,) * term.arity
-        compile_term(term), index_of(term), render_term(term)
-        clearing.cache_clear()
-        assert clearing.cache_info() == (0, 0, 723, 0)
-        assert len(terms._TABLE) == 0
-        fresh = term_of(500)
-        assert fresh is not term and fresh == term
-        # The fresh term's memos fill again: one miss each, then hits.
-        compiles, indexes = compile_term.cache_info(), index_of.cache_info()
-        circuit = compile_term(fresh)
-        assert index_of(fresh) == 500 and circuit.run(ones) == evaluate_oracle(fresh, ones)
-        assert compile_term.cache_info().misses == compiles.misses + 1
-        assert index_of.cache_info().misses > indexes.misses
-        assert compile_term(fresh) is circuit and index_of(fresh) == 500
-        assert compile_term.cache_info().hits == compiles.hits + 1
-        assert index_of.cache_info().hits > indexes.hits
-        assert [fn.cache_info().currsize for fn in cached] == [len(terms._TABLE)] * 3
-        assert len(terms._TABLE) > 1
+    # The table is the only cache: emptying it drops the tabled terms, and
+    # their memos go with them.
+    term = term_of(500)
+    ones = (1,) * term.arity
+    compile_term(term), index_of(term), render_term(term)
+    assert term._circuit is not None and term._index == 500
+    terms._TABLE.clear()
+    fresh = term_of(500)
+    assert fresh is not term and fresh == term
+    assert len(terms._TABLE) > 1 and terms._TABLE[500] is fresh
+    # The fresh term starts with no memos; they fill once, and a second
+    # call returns what the term kept.
+    assert fresh._circuit is None and fresh._index is None and fresh.left._index is None
+    circuit = compile_term(fresh)
+    assert index_of(fresh) == 500 and circuit.run(ones) == evaluate_oracle(fresh, ones)
+    assert fresh._circuit is circuit and fresh._index == 500
+    assert fresh.left._index == index_of(term.left)
+    assert compile_term(fresh) is circuit and index_of(fresh) == 500
 
 
 def test_class3_evaluation_keeps_no_term():
@@ -273,7 +268,7 @@ def test_class3_evaluation_keeps_no_term():
         evaluate_gates(term, tuple(int(v) for v in rng.integers(-9, 10, size=term.arity))).to_json()
     del term
     gc.collect()
-    assert term_of.cache_info().currsize <= 723
+    assert len(terms._TABLE) <= 723
     assert [obj for obj in gc.get_objects() if type(obj) is Node and obj.depth > 3] == []
 
 
@@ -389,15 +384,14 @@ def test_equal_terms_compile_to_equal_programs():
     assert first != node(P, first.left, first.right)
     assert repr(ELEM_PLUS) == "Node(op=<BinOp.PLUS: 1>, left=FreeVar(), right=FreeVar())"
     # Each term keeps its own circuit: the twin compiles an equal program
-    # of its own, and neither, being outside term_of's table, is counted
-    # as held by the cache.
-    compile_term.cache_clear()
+    # of its own, and neither, being outside term_of's table, enters it.
+    terms._TABLE.clear()
     compiled = compile_term(first)
     twin = compile_term(second)
     assert twin is not compiled and twin == compiled
+    assert first._circuit is compiled and second._circuit is twin
     assert compile_term(first) is compiled and compile_term(second) is twin
-    info = compile_term.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 2, 0)
+    assert len(terms._TABLE) == 0
     assert index_of(second) == index_of(first)
 
 
@@ -421,8 +415,10 @@ def test_circuit_checks_its_roles_once(monkeypatch):
     sweeps = []
     real = gates._check_steps
     monkeypatch.setattr(gates, "_check_steps", lambda *a: sweeps.append(a) or real(*a))
+    # Emptied first, the table builds a term that has compiled nothing.
+    terms._TABLE.clear()
     term = term_of(500)
-    compile_term.cache_clear()
+    assert term._circuit is None
     circuit = compile_term(term)
     assert len(sweeps) == 1 and len(circuit.program) > 0
     assert sweeps[0] == (circuit.registers, circuit.program.steps)
@@ -463,8 +459,10 @@ def reference_compile(term):
 
 
 def test_compile_matches_reference():
-    compile_term.cache_clear()
+    terms._TABLE.clear()
     for term in _shape_sample():
+        # Each term is fresh, so it compiles rather than reads a memo.
+        assert term._circuit is None
         compiled, expected = compile_term(term), reference_compile(term)
         assert compiled.program.steps == expected.program.steps
         assert all(type(step) is GateStep for step in compiled.program.steps)
@@ -482,7 +480,7 @@ def test_cold_evaluation_leaves_no_reference_cycles():
     for delta in rng.integers(lo, hi, size=200):
         term = term_of(int(delta))
         cases.append((term, tuple(int(v) for v in rng.integers(-9, 10, size=term.arity))))
-    compile_term.cache_clear()
+    terms._TABLE.clear()
     gc.collect()
     gc.disable()
     try:
